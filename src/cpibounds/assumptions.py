@@ -42,6 +42,7 @@ from .entailment import (
     VACUOUS,
     QueryResult,
     entail_conditional,
+    homogenized_rows,
     probability_bounds,
 )
 from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension
@@ -54,14 +55,6 @@ DEFAULT_TOLERANCE = Fraction(1, 10**6)
 DEFAULT_NODE_CAP = 10_000
 # split points are clamped this fraction of the box width away from its edges
 EDGE_CLAMP = Fraction(1, 100)
-
-
-@dataclass(frozen=True)
-class AggregateVariable:
-    """A sentence probability treated as one bounded LP variable."""
-
-    sentence: Sentence
-    bounds: ProbabilityInterval
 
 
 # a side is an aggregate id, or a product of two aggregate ids
@@ -172,14 +165,6 @@ def envelope_range(cuts, u_value, v_value) -> ProbabilityInterval:
 
 
 @dataclass(frozen=True)
-class BranchNode:
-    """One box in the spatial search; bound is the parent relaxation value."""
-
-    boxes: tuple[ProbabilityInterval, ...]
-    bound: Fraction | None
-
-
-@dataclass(frozen=True)
 class AugmentedResult:
     result: QueryResult
     convergence: str  # "converged" | "outer_bound"
@@ -189,16 +174,14 @@ class AugmentedResult:
 class _AugmentedProblem:
     """Static data for one augmented query; node LPs are built per box set."""
 
-    def __init__(self, kb: KnowledgeBase, ws: WorldSpace, target, given):
+    def __init__(self, rows, assumptions, ws: WorldSpace, target, given):
         self.ws = ws
         self.n = len(ws)
         self.pool = AggregatePool(ws)
         self.constraints: list[BilinearConstraint] = []
-        for a in kb.assumptions:
+        for a in assumptions:
             self.constraints.extend(encode_assumption(a, self.pool))
-        self.k_rows = kb_rows(kb, ws)
-        self.target = target
-        self.given = given
+        self.k_rows = rows
         self.given_ext = extension(given, ws)
         self.obj_ext = extension(conjunction(target, given), ws)
         # products, deduplicated on the normalized id pair
@@ -223,7 +206,7 @@ class _AugmentedProblem:
         return self.agg_col + side
 
     def node_rows(self, boxes):
-        rows = [(r.coeffs, r.rel, ZERO) for r in self.k_rows]
+        rows = list(self.k_rows)
         for k, sentence in enumerate(self.pool.sentences):
             coeffs = {i: ONE for i in extension(sentence, self.ws)}
             coeffs[self.agg_col + k] = coeffs.get(self.agg_col + k, ZERO) - ONE
@@ -250,11 +233,7 @@ class _AugmentedProblem:
             if lcol == rcol:
                 continue
             rows.append(({lcol: ONE, rcol: -ONE}, c.rel, ZERO))
-        rows.append(({i: ONE for i in self.given_ext}, "=", ONE))
-        scale = {i: ONE for i in range(self.n)}
-        scale[self.t_col] = -ONE
-        rows.append((scale, "=", ZERO))
-        return rows
+        return homogenized_rows(rows, self.n, self.given_ext)
 
     def solve_node(self, boxes, sense: str):
         objective = {i: ONE for i in self.obj_ext}
@@ -297,9 +276,7 @@ class _AugmentedProblem:
 
 def relaxation_feasible(rows, assumptions, ws: WorldSpace) -> bool:
     """Root-relaxation feasibility over unit boxes (sound when False)."""
-    kb = KnowledgeBase(atoms=ws.atoms, assumptions=tuple(assumptions))
-    problem = _AugmentedProblem(kb, ws, TRUE, TRUE)
-    problem.k_rows = list(rows)
+    problem = _AugmentedProblem(rows, assumptions, ws, TRUE, TRUE)
     boxes = tuple(ProbabilityInterval.vacuous() for _ in problem.pool.sentences)
     return solve_lp(problem.ncols, problem.node_rows(boxes), {}, "min").status == "optimal"
 
@@ -337,10 +314,10 @@ def _split_box(box: ProbabilityInterval, at: Fraction):
 def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
     """One directional search.
 
-    Returns (outer bound, converged, nodes, incumbent value or None).  The
-    outer bound is valid at any stop point: every region is either still
-    on the heap with a bound no better than it, was proven infeasible, or
-    cannot beat the incumbent.
+    Returns (outer bound, converged, nodes, incumbent value or None, LP
+    pivots).  The outer bound is valid at any stop point: every region is
+    either still on the heap with a bound no better than it, was proven
+    infeasible, or cannot beat the incumbent.
     """
     sign = 1 if sense == "min" else -1
 
@@ -353,6 +330,7 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
     heap = [(Fraction(-(10**12)), next(counter), root_boxes)]
     incumbent: Fraction | None = None
     nodes = 0
+    pivots = 0
     node_cap = max(1, node_cap)
     while heap and nodes < node_cap:
         stored_score, _, boxes = heapq.heappop(heap)
@@ -360,6 +338,7 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
             continue  # region cannot beat the incumbent
         lp = problem.solve_node(boxes, sense)
         nodes += 1
+        pivots += lp.pivots
         if lp.status == "infeasible":
             continue
         bound = lp.value
@@ -391,7 +370,7 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
         raise InfeasibleAugmentedError(
             "assumptions are inconsistent with the axioms (all regions infeasible)"
         )
-    return outer, converged, nodes, incumbent
+    return outer, converged, nodes, incumbent, pivots
 
 
 def entail_augmented(
@@ -412,14 +391,17 @@ def entail_augmented(
     if not kb.assumptions:
         return AugmentedResult(entail_conditional(kb, ws, target, given), "converged", 0)
     tolerance = Fraction(tolerance)
-    problem = _AugmentedProblem(kb, ws, target, given)
+    rows = kb_rows(kb, ws)
+    problem = _AugmentedProblem(rows, kb.assumptions, ws, target, given)
+    pivots = 0
 
     # initial boxes: each aggregate's range under the axioms alone
     boxes = []
     for sentence in problem.pool.sentences:
         lo_lp, hi_lp = probability_bounds(
-            problem.k_rows, problem.n, extension(sentence, ws)
+            rows, problem.n, extension(sentence, ws), range(problem.n)
         )
+        pivots += lo_lp.pivots + hi_lp.pivots
         if lo_lp.status == "infeasible":
             raise InfeasibleAugmentedError("axiom system alone is already infeasible")
         boxes.append(ProbabilityInterval(lo_lp.value, hi_lp.value))
@@ -427,37 +409,34 @@ def entail_augmented(
 
     if given != TRUE:
         # sound vacuity test: max antecedent mass over the relaxed system
-        vac_problem = _AugmentedProblem(kb, ws, given, TRUE)
-        lp = solve_lp(
-            vac_problem.ncols,
-            vac_problem.node_rows(root_boxes),
-            {i: ONE for i in vac_problem.obj_ext},
-            "max",
-        )
+        vac_problem = _AugmentedProblem(rows, kb.assumptions, ws, given, TRUE)
+        lp = vac_problem.solve_node(root_boxes, "max")
+        pivots += lp.pivots
         if lp.status == "infeasible":
             raise InfeasibleAugmentedError(
                 "assumptions are inconsistent with the axioms"
             )
         if lp.value == ZERO:
             return AugmentedResult(
-                QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False),
+                QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False, pivots),
                 "converged",
                 0,
             )
 
-    lo, lo_conv, lo_nodes, lo_inc = _bb_run(
+    lo, lo_conv, lo_nodes, lo_inc, lo_pivots = _bb_run(
         problem, root_boxes, "min", tolerance, node_cap
     )
-    hi, hi_conv, hi_nodes, hi_inc = _bb_run(
+    hi, hi_conv, hi_nodes, hi_inc, hi_pivots = _bb_run(
         problem, root_boxes, "max", tolerance, node_cap
     )
     nodes = lo_nodes + hi_nodes
+    pivots += lo_pivots + hi_pivots
     if given != TRUE and lo_inc is None and hi_inc is None:
         # no exactly-feasible point with positive antecedent mass was found,
         # so the conditional could still be undefined everywhere: widen to
         # the only interval that is safe in that case
         return AugmentedResult(
-            QueryResult(DETERMINED, ProbabilityInterval.vacuous(), False, False),
+            QueryResult(DETERMINED, ProbabilityInterval.vacuous(), False, False, pivots),
             "outer_bound",
             nodes,
         )
@@ -472,6 +451,7 @@ def entail_augmented(
             ProbabilityInterval(lo, hi),
             lower_attained=lo_inc is not None and lo_inc == lo,
             upper_attained=hi_inc is not None and hi_inc == hi,
+            pivots=pivots,
         ),
         "converged" if converged else "outer_bound",
         nodes,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -140,17 +139,13 @@ def cmd_entail(args) -> int:
     if not feasible(kb, ws):
         return _infeasible_exit(kb, ws, args)
     queries = list(kb.queries)
-    if args.jobs > 1 and queries:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            solved = list(
-                pool.map(lambda q: _solve_query(kb, ws, q[0], q[1], args), queries)
-            )
-    else:
-        solved = [_solve_query(kb, ws, t, g, args) for t, g in queries]
+    solved = [_solve_query(kb, ws, t, g, args) for t, g in queries]
 
     maxent_values = None
     if args.maxent and queries:
-        report = precision_report(kb, ws, queries)
+        # B&B intervals are not the axioms-only ones the report classifies
+        results = None if kb.assumptions else [s["result"] for s in solved]
+        report = precision_report(kb, ws, queries, results=results)
         maxent_values = {
             (e.target, e.given): (e.maxent_value, e.classification)
             for e in report.entries
@@ -468,8 +463,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments exit EXIT_USAGE; argparse's 2 means an inconsistent KB here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpibounds",
         description="entailed probability-interval bounds over possible worlds",
     )
@@ -501,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-cap", type=int, default=DEFAULT_NODE_CAP,
         help="branch-and-bound node cap per direction (default %(default)s)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="solve queries concurrently")
     p.set_defaults(func=cmd_entail)
 
     p = sub.add_parser("check", help="feasibility check with conflict diagnosis")

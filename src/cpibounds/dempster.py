@@ -296,8 +296,8 @@ def envelope_from_entailment(
 
     ``mapping`` assigns each frame singleton a sentence; the background
     theory must make those sentences mutually exclusive and exhaustive,
-    which is checked rather than assumed.  Each subset bound is one LP
-    solve over the axioms.
+    which is checked rather than assumed.  Complementary subsets share
+    one min/max LP pair, since lower(~A) = 1 - max P(A) exactly.
     """
     from .entailment import entail_unconditional
 
@@ -318,12 +318,15 @@ def envelope_from_entailment(
         raise FrameMappingError(
             "frame singletons are not exhaustive under the background"
         )
-    table = []
+    lower: dict[int, Fraction] = {}
     for mask in frame.subsets():
+        if mask in lower:
+            continue
         members = [sentences[i] for i in range(frame.size) if mask >> i & 1]
-        result = entail_unconditional(kb, ws, disjunction(*members))
-        table.append(result.interval.lower)
-    return LowerEnvelope(frame, tuple(table))
+        interval = entail_unconditional(kb, ws, disjunction(*members)).interval
+        lower[mask] = interval.lower
+        lower[frame.full_mask ^ mask] = ONE - interval.upper
+    return LowerEnvelope(frame, tuple(lower[mask] for mask in frame.subsets()))
 
 
 def frame_mapping_from_kb(kb: KnowledgeBase) -> dict[str, Sentence]:

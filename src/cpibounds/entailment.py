@@ -13,7 +13,9 @@ attained whenever the status is "determined".
 
 When the antecedent is forced to probability zero by the axioms, the
 conditional is undefined on every admissible distribution and the result
-is the vacuous interval with status "vacuous_by_zero_antecedent".
+is the vacuous interval with status "vacuous_by_zero_antecedent".  The
+transformed program is then empty, and one feasibility LP tells this
+case apart from an axiom system that admits no distribution at all.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ ONE = Fraction(1)
 
 DETERMINED = "determined"
 VACUOUS = "vacuous_by_zero_antecedent"
-INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,35 @@ class QueryResult:
     pivots: int = 0
 
 
-def _normalization_row(n: int):
-    return ({i: ONE for i in range(n)}, "=", ONE)
+def homogenized_rows(rows, n: int, given_ext) -> list:
+    """The caller's homogeneous rows, then sum_{given} y = 1, then sum y - t = 0.
+
+    Columns 0..n-1 are the scaled world weights y and column n is the
+    scale t; callers may place further columns after t.
+    """
+    scale = {i: ONE for i in range(n)}
+    scale[n] = -ONE
+    return [*rows, ({i: ONE for i in given_ext}, "=", ONE), (scale, "=", ZERO)]
 
 
-def probability_bounds(rows, n: int, indices) -> tuple[LpResult, LpResult]:
-    """Min and max of sum_{i in indices} x_i over the normalized polytope."""
-    lp_rows = [(r.coeffs, r.rel, r.rhs) for r in rows]
-    lp_rows.append(_normalization_row(n))
-    objective = {i: ONE for i in indices}
+def probability_bounds(rows, n: int, target_ext, given_ext) -> tuple[LpResult, LpResult]:
+    """Min and max of sum_{target_ext} y over the homogenized program.
+
+    With ``target_ext`` the worlds of target & given, these are the
+    extremes of P(target | given); both LPs are infeasible exactly when
+    no admissible distribution gives the antecedent positive probability.
+    """
+    lp_rows = homogenized_rows(rows, n, given_ext)
+    objective = {i: ONE for i in target_ext}
     return (
-        solve_lp(n, lp_rows, objective, "min"),
-        solve_lp(n, lp_rows, objective, "max"),
+        solve_lp(n + 1, lp_rows, objective, "min"),
+        solve_lp(n + 1, lp_rows, objective, "max"),
     )
+
+
+def _feasibility(rows, n: int) -> LpResult:
+    """Phase 1 of the homogenized program over every world (scale t = 1)."""
+    return solve_lp(n + 1, homogenized_rows(rows, n, range(n)), {}, "min")
 
 
 def feasible(kb: KnowledgeBase, ws: WorldSpace) -> bool:
@@ -77,13 +94,7 @@ def feasible(kb: KnowledgeBase, ws: WorldSpace) -> bool:
     Assumptions are not consulted here; the augmented feasibility check
     lives with the branch-and-bound machinery.
     """
-    return feasible_rows(kb_rows(kb, ws), len(ws))
-
-
-def feasible_rows(rows, n: int) -> bool:
-    lp_rows = [(r.coeffs, r.rel, r.rhs) for r in rows]
-    lp_rows.append(_normalization_row(n))
-    return solve_lp(n, lp_rows, {}, "min").status == "optimal"
+    return _feasibility(kb_rows(kb, ws), len(ws)).status == "optimal"
 
 
 def feasible_subset(kb: KnowledgeBase, ws: WorldSpace, axiom_indices) -> bool:
@@ -100,18 +111,7 @@ def feasible_subset(kb: KnowledgeBase, ws: WorldSpace, axiom_indices) -> bool:
         from .assumptions import relaxation_feasible
 
         return relaxation_feasible(rows, kb.assumptions, ws)
-    return feasible_rows(rows, len(ws))
-
-
-def _conditional_program(rows, ws: WorldSpace, given: Sentence):
-    """Charnes-Cooper transform: columns 0..n-1 are y, column n is the scale t."""
-    n = len(ws)
-    lp_rows = [(r.coeffs, r.rel, r.rhs) for r in rows]
-    lp_rows.append(({i: ONE for i in extension(given, ws)}, "=", ONE))
-    scale_row = {i: ONE for i in range(n)}
-    scale_row[n] = -ONE
-    lp_rows.append((scale_row, "=", ZERO))
-    return lp_rows, n + 1
+    return _feasibility(rows, len(ws)).status == "optimal"
 
 
 def entail_conditional(
@@ -122,27 +122,19 @@ def entail_conditional(
     Raises InfeasibleError when no distribution satisfies the axioms.
     """
     rows = kb_rows(kb, ws)
-    pivots = 0
-    if given != TRUE:
-        _, high = probability_bounds(rows, len(ws), extension(given, ws))
-        pivots += high.pivots
-        if high.status == "infeasible":
-            raise InfeasibleError("axiom system admits no distribution")
-        if high.value == ZERO:
-            return QueryResult(
-                VACUOUS,
-                ProbabilityInterval.vacuous(),
-                lower_attained=False,
-                upper_attained=False,
-                pivots=pivots,
-            )
-    lp_rows, ncols = _conditional_program(rows, ws, given)
-    objective = {i: ONE for i in extension(conjunction(target, given), ws)}
-    low = solve_lp(ncols, lp_rows, objective, "min")
-    high = solve_lp(ncols, lp_rows, objective, "max")
-    pivots += low.pivots + high.pivots
+    n = len(ws)
+    low, high = probability_bounds(
+        rows, n, extension(conjunction(target, given), ws), extension(given, ws)
+    )
+    pivots = low.pivots + high.pivots
     if low.status == "infeasible":
-        raise InfeasibleError("axiom system admits no distribution")
+        # either no admissible distribution exists, or every one of them
+        # gives the antecedent probability zero
+        check = _feasibility(rows, n)
+        if check.status == "infeasible":
+            raise InfeasibleError("axiom system admits no distribution")
+        pivots += check.pivots
+        return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False, pivots)
     assert low.status == "optimal" and high.status == "optimal"
     return QueryResult(
         DETERMINED,

@@ -115,12 +115,15 @@ class ProbabilityInterval:
 def p_term_text(target: Sentence, given: Sentence = TRUE) -> str:
     """Render P(target | given) so the DSL parses it back identically.
 
-    A top-level disjunction in the target is parenthesized, since the
+    A target whose text has a ``|`` outside parentheses (a disjunction,
+    or one nested under ``->`` or ``<->``) is parenthesized, since the
     first unnested ``|`` inside P(...) is the conditioning separator.
     """
-    from .sentences import Or, to_text
+    from .sentences import to_text
 
-    target_text = f"({to_text(target)})" if isinstance(target, Or) else to_text(target)
+    target_text = to_text(target)
+    if len(_split_top_level(target_text, "|")) > 1:
+        target_text = f"({target_text})"
     if given == TRUE:
         return f"P({target_text})"
     return f"P({target_text} | {to_text(given)})"
@@ -178,7 +181,8 @@ class KnowledgeBase:
     assumptions: tuple[AssumptionConstraint, ...] = ()
     queries: tuple[tuple[Sentence, Sentence], ...] = ()
     frame: tuple[str, ...] | None = None
-    masses: dict = field(default_factory=dict)
+    # not hashed (a dict is not hashable); equality still compares it
+    masses: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         declared = set(self.atoms)

@@ -18,7 +18,8 @@ residual (feasibility plus complementary slackness; stationarity and
 normalization are exact by construction) drops below the tolerance.
 
 Worlds forced to probability zero make the entropy gradient unbounded,
-so they are detected exactly by LP beforehand and eliminated.
+so they are detected exactly beforehand, by one LP over the homogeneous
+axiom cone, and eliminated.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entailment import VACUOUS, entail_conditional, probability_bounds
+from .entailment import VACUOUS, entail_conditional
 from .errors import InfeasibleError
 from .kb import KnowledgeBase, ProbabilityInterval, kb_rows
 from .sentences import Sentence, WorldSpace, conjunction, extension
+from .simplex import solve_lp
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
@@ -68,6 +70,26 @@ class PrecisionEntry:
 class PrecisionReport:
     entries: tuple[PrecisionEntry, ...]
     solution: MaxEntSolution
+
+
+def _support(rows, n: int) -> list[int]:
+    """Worlds that some admissible distribution gives positive probability.
+
+    One LP over the homogeneous axiom cone {y >= 0 : rows} (Freund,
+    Roundy & Todd 1985): maximize sum s_i subject to s_i <= y_i and
+    s_i <= 1, columns y at 0..n-1 and s at n..2n-1.  The cone holds a
+    point with y_i >= 1 on every such world and forces y_i = 0 on the
+    others, so every optimum has s_i = 1 exactly on the support.
+    """
+    lp_rows = list(rows)
+    for i in range(n):
+        lp_rows.append(({n + i: 1, i: -1}, "<=", 0))
+        lp_rows.append(({n + i: 1}, "<=", 1))
+    lp = solve_lp(2 * n, lp_rows, {n + i: 1 for i in range(n)}, "max")
+    free = [i for i in range(n) if lp.x[n + i] == 1]
+    if not free:
+        raise InfeasibleError("axiom system admits no distribution")
+    return free
 
 
 def _constraint_rows(rows, columns):
@@ -192,15 +214,7 @@ def solve_maxent(
     """
     rows = kb_rows(kb, ws)
     n = len(ws)
-
-    # exact presolve: worlds whose probability the axioms force to zero
-    free = []
-    for i in range(n):
-        _, high = probability_bounds(rows, n, [i])
-        if high.status == "infeasible":
-            raise InfeasibleError("axiom system admits no distribution")
-        if high.value != 0:
-            free.append(i)
+    free = _support(rows, n)
 
     eq, ineq = _constraint_rows(rows, free)
     mu = np.zeros(len(eq))
@@ -268,6 +282,7 @@ def precision_report(
     ws: WorldSpace,
     queries=None,
     tol: float = DEFAULT_TOL,
+    results=None,
 ) -> PrecisionReport:
     """Entailed interval versus maximum-entropy point value, per query.
 
@@ -276,13 +291,15 @@ def precision_report(
     fully underdetermined, anything else partially determined.  The
     maxent value always lies inside the entailed interval (up to solver
     tolerance); conditioning on an event of maxent probability zero
-    yields no point value.
+    yields no point value.  ``results`` may pass the queries'
+    plain-entailment QueryResults, in order, when already computed.
     """
     queries = list(queries) if queries is not None else list(kb.queries)
     solution = solve_maxent(kb, ws, tol=tol)
+    if results is None:
+        results = [entail_conditional(kb, ws, t, g) for t, g in queries]
     entries = []
-    for target, given in queries:
-        result = entail_conditional(kb, ws, target, given)
+    for (target, given), result in zip(queries, results):
         numer = solution.probability(extension(conjunction(target, given), ws))
         denom = solution.probability(extension(given, ws))
         value = numer / denom if denom > 0 else None

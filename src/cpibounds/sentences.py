@@ -18,8 +18,9 @@ A world space is the full enumeration of truth assignments over a fixed
 atom list, filtered by a hard background theory.  Worlds are kept in
 lexicographic order on the atom-ordered boolean vector (false < true),
 so variable indices in downstream linear programs are deterministic.
-All types here are immutable after construction and every operation is
-pure, so they are safe to share across threads.
+Sentences are immutable and every operation is pure, but a world space
+memoizes extensions in a mutable per-instance cache (``_ext_cache``),
+so a world space is not safe to share across threads without a lock.
 """
 
 from __future__ import annotations

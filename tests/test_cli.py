@@ -128,13 +128,17 @@ class TestEntail:
         assert code == 0
         assert "maxent=0.65" in out and "partially_determined" in out
 
-    def test_jobs_flag_preserves_order(self, capsys, kb_file):
-        text = BASIC + "query P(A)\nquery P(A & B)\n"
-        path = kb_file(text)
-        code_seq, out_seq, _ = run(capsys, "entail", path)
-        code_par, out_par, _ = run(capsys, "entail", path, "--jobs", "4")
-        assert code_seq == code_par == 0
-        assert out_seq == out_par
+    @pytest.mark.parametrize("flags", [["--bogus"], ["--jobs", "4"]])
+    def test_bad_flag_is_usage_error(self, capsys, kb_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["entail", kb_file(BASIC), *flags])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_branch_and_bound_reports_pivots(self, capsys, kb_file):
+        code, out, _ = run(capsys, "entail", kb_file(AUGMENTED), "--json")
+        assert code == 0
+        assert json.loads(out)["stats"]["lp_pivots"] > 0
 
     def test_deterministic_output(self, capsys, kb_file):
         path = kb_file(BASIC)

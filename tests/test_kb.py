@@ -26,7 +26,9 @@ from cpibounds import (
     parse_sentence,
 )
 from cpibounds.entailment import feasible_subset
+from cpibounds.kb import p_term_text
 from cpibounds.simplex import solve_lp
+from generators import ATOM_NAMES, random_sentence
 
 A, B = Atom("A"), Atom("B")
 HALF = Fraction(1, 2)
@@ -126,6 +128,25 @@ class TestParseKb:
             (frozenset({"a"}), Fraction(3, 5)),
             (frozenset({"a", "b"}), Fraction(2, 5)),
         ]
+
+    def test_equal_kbs_with_masses_hash_equal(self):
+        text = "atom A\nP(A) >= 0.5\nframe a b\nmass m1 {a}: 0.6, {a, b}: 0.4"
+        first, second = parse_kb(text), parse_kb(text)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_p_term_text_round_trips(self):
+        rng = random.Random(11)
+        header = "atom " + " ".join(ATOM_NAMES) + "\n"
+        for _ in range(400):
+            target = random_sentence(rng, ATOM_NAMES, depth=3)
+            given = (
+                random_sentence(rng, ATOM_NAMES) if rng.random() < 0.5 else TRUE
+            )
+            text = p_term_text(target, given)
+            kb = parse_kb(f"{header}query {text}\n")
+            assert kb.queries == ((target, given),), text
 
     def test_mass_requires_frame(self):
         with pytest.raises(KbParseError):

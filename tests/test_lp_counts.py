@@ -1,0 +1,97 @@
+"""How many exact LPs each caller solves: no LP whose result is discarded.
+
+``solve_lp`` is wrapped at every lookup site inside the package, so each
+test sees every LP its call solves.
+"""
+
+import sys
+
+import pytest
+
+from cpibounds import (
+    build_world_space,
+    disjunction,
+    entail_conditional,
+    entail_unconditional,
+    envelope_from_entailment,
+    parse_kb,
+    parse_sentence,
+    solve_maxent,
+)
+from cpibounds.cli import main
+from cpibounds.dempster import frame_mapping_from_kb
+from cpibounds.simplex import solve_lp
+
+BASIC = """\
+atom A B C
+P(A) = 0.7
+P(A -> B) = 0.8
+0.2 <= P(C | B) <= 0.6
+query P(B)
+query P(C | A)
+query P(A & C | B | C)
+"""
+
+FRAME = """\
+atom A B C
+background A | B | C
+background !(A & B)
+background !(A & C)
+background !(B & C)
+frame A B C
+0.3 <= P((A | B))
+0.4 <= P((A | C))
+0.5 <= P((B | C))
+"""
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Records the sense of every LP the package solves."""
+    calls = []
+
+    def counted(num_vars, rows, objective, sense="min"):
+        calls.append(sense)
+        return solve_lp(num_vars, rows, objective, sense)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpibounds.") and getattr(module, "solve_lp", None) is solve_lp:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    return calls
+
+
+def test_conditional_query_runs_two_lps(lp_calls):
+    kb = parse_kb(BASIC)
+    ws = build_world_space(kb.atoms)
+    result = entail_conditional(kb, ws, parse_sentence("C"), parse_sentence("A"))
+    assert result.status == "determined"
+    assert len(lp_calls) == 2
+
+
+def test_maxent_presolve_is_one_lp(lp_calls):
+    kb = parse_kb(BASIC)
+    solve_maxent(kb, build_world_space(kb.atoms))
+    assert len(lp_calls) == 1
+
+
+def test_envelope_runs_one_lp_pair_per_complementary_pair(lp_calls):
+    kb = parse_kb(FRAME)
+    ws = build_world_space(kb.atoms, kb.background)
+    mapping = frame_mapping_from_kb(kb)
+    envelope = envelope_from_entailment(kb, ws, mapping)
+    assert len(lp_calls) == 2 ** len(mapping)
+    sentences = list(mapping.values())
+    for mask in envelope.frame.subsets():
+        members = [s for i, s in enumerate(sentences) if mask >> i & 1]
+        expected = entail_unconditional(kb, ws, disjunction(*members))
+        assert envelope.lower(mask) == expected.interval.lower
+
+
+def test_entail_maxent_solves_each_query_once(lp_calls, tmp_path, capsys):
+    path = tmp_path / "basic.kb"
+    path.write_text(BASIC)
+    assert main(["entail", str(path), "--maxent"]) == 0
+    assert "maxent=" in capsys.readouterr().out
+    queries = len(parse_kb(BASIC).queries)
+    # one feasibility LP, a min/max pair per query, one maxent presolve LP
+    assert len(lp_calls) == 1 + 2 * queries + 1

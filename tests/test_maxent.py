@@ -64,6 +64,24 @@ class TestSolveMaxent:
         assert sol.distribution[0] == 0.0 and sol.distribution[1] == 0.0
         assert abs(sol.distribution[2] - 0.5) < 1e-9
 
+    def test_support_lp_matches_per_world_maxima(self):
+        from cpibounds.entailment import probability_bounds
+        from cpibounds.kb import kb_rows
+        from cpibounds.maxent import _support
+
+        rng = random.Random(83)
+        pruned = 0
+        for _ in range(25):
+            kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=4)
+            rows, n = kb_rows(kb, ws), len(ws)
+            expected = [
+                i for i in range(n)
+                if probability_bounds(rows, n, [i], range(n))[1].value > 0
+            ]
+            assert _support(rows, n) == expected
+            pruned += len(expected) < n
+        assert pruned  # some instance forces a world to zero
+
     def test_feasibility_within_1e9(self):
         rng = random.Random(71)
         from cpibounds.kb import kb_rows
