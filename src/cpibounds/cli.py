@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-One binary with subcommands sharing the knowledge-base loader:
+One binary with subcommands sharing one front door, ``_open``, which
+loads the knowledge base, builds its world space and checks feasibility:
 
 * ``entail``      answer every query (branch-and-bound when assumptions exist)
 * ``check``       feasibility only, with a minimal conflict diagnosis
@@ -24,9 +25,13 @@ import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from .assumptions import DEFAULT_NODE_CAP, DEFAULT_TOLERANCE, entail_augmented
+from .assumptions import (
+    DEFAULT_NODE_CAP,
+    DEFAULT_TOLERANCE,
+    AugmentedResult,
+    entail_augmented,
+)
 from .dempster import (
-    combine_evidence,
     dempster_combine,
     envelope_from_entailment,
     frame_mapping_from_kb,
@@ -65,16 +70,11 @@ def decimal_str(value: Fraction, places: int = 6) -> str:
         ctx.prec = places + 30
         d = Decimal(value.numerator) / Decimal(value.denominator)
         q = d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
-    text = format(q.normalize(), "f")
-    return text
+    return format(q.normalize(), "f")
 
 
 def rational_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
-
-
-def query_text(target, given=TRUE) -> str:
-    return p_term_text(target, given)
 
 
 def load_kb(path: str) -> KnowledgeBase:
@@ -84,139 +84,145 @@ def load_kb(path: str) -> KnowledgeBase:
         return parse_kb(handle.read())
 
 
-def _interval_text(interval, places: int) -> str:
-    lo, hi = interval.lower, interval.upper
-    return (
-        f"[{decimal_str(lo, places)}, {decimal_str(hi, places)}]"
-        f" (exact {lo}, {hi})"
-    )
+class _Inconsistent(Exception):
+    """The axioms admit no distribution; ``main`` prints the diagnosis."""
+
+    def __init__(self, kb: KnowledgeBase, diagnosis: list[int]):
+        self.kb = kb
+        self.diagnosis = diagnosis  # 1-based axiom numbers
+
+
+def _require_feasible(kb, ws) -> None:
+    if not feasible(kb, ws):
+        raise _Inconsistent(kb, [i + 1 for i in diagnose_inconsistency(kb, ws)])
+
+
+def _open(args, gate: bool = True):
+    """The front door: load the KB and build its world space.
+
+    With ``gate``, infeasible axioms raise ``_Inconsistent`` to ``main``.
+    """
+    kb = load_kb(args.kb)
+    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
+    if gate:
+        _require_feasible(kb, ws)
+    return kb, ws
 
 
 def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _infeasible_exit(kb, ws, args) -> int:
-    diagnosis = [i + 1 for i in diagnose_inconsistency(kb, ws)]
-    if args.json:
-        _emit_json(
-            {
-                "queries": [],
-                "feasible": False,
-                "diagnosis": diagnosis,
-                "stats": {"lp_pivots": 0, "bb_nodes": 0, "sweeps": 0},
-            }
-        )
-    else:
-        print("inconsistent: no probability distribution satisfies the axioms")
-        listed = ", ".join(f"axiom {i}" for i in diagnosis)
-        print(f"minimal conflicting subset: {listed}")
-        for i in diagnosis:
-            print(f"  axiom {i}: {kb.axioms[i - 1]}")
-    return EXIT_INCONSISTENT
+def _emit_document(entries, diagnosis=None, pivots=0, nodes=0, sweeps=0, **extra):
+    """The query-answering commands' JSON document; ``extra`` follows ``stats``."""
+    head = {"queries": entries, "feasible": diagnosis is None, "diagnosis": diagnosis}
+    stats = {"lp_pivots": pivots, "bb_nodes": nodes, "sweeps": sweeps}
+    _emit_json({**head, "stats": stats, **extra})
 
 
-def _solve_query(kb, ws, target, given, args):
+def _entry(target, given, interval, status, method, **extra) -> dict:
+    return {
+        "query": p_term_text(target, given),
+        "lower": rational_json(interval.lower),
+        "upper": rational_json(interval.upper),
+        "status": status,
+        "method": method,
+        **extra,
+    }
+
+
+def _interval_line(target, given, interval, places: int) -> str:
+    lo, hi = interval.lower, interval.upper
+    return (
+        f"{p_term_text(target, given)}:"
+        f" [{decimal_str(lo, places)}, {decimal_str(hi, places)}]"
+        f" (exact {lo}, {hi})"
+    )
+
+
+def _subset_json(names, value: Fraction) -> dict:
+    return {"subset": list(names), "num": value.numerator, "den": value.denominator}
+
+
+def _mass_json(m: MassFunction) -> list[dict]:
+    return [_subset_json(m.frame.names_of(mask), value) for mask, value in m.focal()]
+
+
+def _print_diagnosis(exc: _Inconsistent, as_json: bool) -> None:
+    if as_json:
+        _emit_document([], diagnosis=exc.diagnosis)
+        return
+    print("inconsistent: no probability distribution satisfies the axioms")
+    listed = ", ".join(f"axiom {i}" for i in exc.diagnosis)
+    print(f"minimal conflicting subset: {listed}")
+    for i in exc.diagnosis:
+        print(f"  axiom {i}: {exc.kb.axioms[i - 1]}")
+
+
+def _solve_query(kb, ws, target, given, args) -> AugmentedResult:
     if kb.assumptions:
-        res = entail_augmented(
+        return entail_augmented(
             kb, ws, target, given,
             tolerance=Fraction(args.tolerance),
             node_cap=args.node_cap,
         )
-        return {
-            "result": res.result,
-            "method": "branch-and-bound",
-            "nodes": res.nodes,
-            "convergence": res.convergence,
-        }
-    result = entail_conditional(kb, ws, target, given)
-    return {"result": result, "method": "lp", "nodes": 0, "convergence": "converged"}
+    return AugmentedResult(entail_conditional(kb, ws, target, given), "converged", 0)
+
+
+def _maxent_text(e) -> str:
+    value = "-" if e.maxent_value is None else f"{e.maxent_value:.6f}"
+    return f"maxent={value} [{e.classification}]"
 
 
 def cmd_entail(args) -> int:
-    kb = load_kb(args.kb)
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
-    if not feasible(kb, ws):
-        return _infeasible_exit(kb, ws, args)
+    kb, ws = _open(args)
     queries = list(kb.queries)
     solved = [_solve_query(kb, ws, t, g, args) for t, g in queries]
-
-    maxent_values = None
+    method = "branch-and-bound" if kb.assumptions else "lp"
+    maxent = [None] * len(queries)
     if args.maxent and queries:
         # B&B intervals are not the axioms-only ones the report classifies
-        results = None if kb.assumptions else [s["result"] for s in solved]
-        report = precision_report(kb, ws, queries, results=results)
-        maxent_values = {
-            (e.target, e.given): (e.maxent_value, e.classification)
-            for e in report.entries
-        }
+        results = None if kb.assumptions else [s.result for s in solved]
+        maxent = precision_report(kb, ws, queries, results=results).entries
 
-    total_pivots = sum(s["result"].pivots for s in solved)
-    total_nodes = sum(s["nodes"] for s in solved)
-    if args.json:
-        out_queries = []
-        for (target, given), s in zip(queries, solved):
-            result = s["result"]
-            entry = {
-                "query": query_text(target, given),
-                "lower": rational_json(result.interval.lower),
-                "upper": rational_json(result.interval.upper),
-                "status": result.status,
-                "method": s["method"],
+    total_pivots = sum(s.result.pivots for s in solved)
+    total_nodes = sum(s.nodes for s in solved)
+    entries = []
+    for (target, given), s, e in zip(queries, solved, maxent):
+        result = s.result
+        if args.json:
+            extra = {
                 "lower_attained": result.lower_attained,
                 "upper_attained": result.upper_attained,
             }
-            if maxent_values is not None:
-                value, classification = maxent_values[(target, given)]
-                entry["maxent"] = value
-                entry["classification"] = classification
-            out_queries.append(entry)
-        _emit_json(
-            {
-                "queries": out_queries,
-                "feasible": True,
-                "diagnosis": None,
-                "stats": {
-                    "lp_pivots": total_pivots,
-                    "bb_nodes": total_nodes,
-                    "sweeps": 0,
-                },
-            }
-        )
-        return EXIT_OK
-    for (target, given), s in zip(queries, solved):
-        result = s["result"]
-        line = f"{query_text(target, given)}: {_interval_text(result.interval, args.places)}"
-        extras = [f"method={s['method']}"]
+            if e is not None:
+                extra.update(maxent=e.maxent_value, classification=e.classification)
+            entries.append(
+                _entry(target, given, result.interval, result.status, method, **extra)
+            )
+            continue
+        extras = [f"method={method}"]
         if result.status != "determined":
             extras.append(f"status={result.status}")
-        if s["method"] == "branch-and-bound":
-            extras.append(f"nodes={s['nodes']}")
-            if s["convergence"] != "converged":
+        if kb.assumptions:
+            extras.append(f"nodes={s.nodes}")
+            if s.convergence != "converged":
                 extras.append("outer-bound")
-        if maxent_values is not None:
-            value, classification = maxent_values[(target, given)]
-            rendered = "-" if value is None else f"{value:.6f}"
-            extras.append(f"maxent={rendered} [{classification}]")
+        if e is not None:
+            extras.append(_maxent_text(e))
+        line = _interval_line(target, given, result.interval, args.places)
         print(line + "  " + " ".join(extras))
-    print(f"stats: lp_pivots={total_pivots} bb_nodes={total_nodes}")
+    if args.json:
+        _emit_document(entries, pivots=total_pivots, nodes=total_nodes)
+    else:
+        print(f"stats: lp_pivots={total_pivots} bb_nodes={total_nodes}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    kb = load_kb(args.kb)
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
-    if not feasible(kb, ws):
-        return _infeasible_exit(kb, ws, args)
+    kb, ws = _open(args)
     if args.json:
-        _emit_json(
-            {
-                "queries": [],
-                "feasible": True,
-                "diagnosis": None,
-                "stats": {"lp_pivots": 0, "bb_nodes": 0, "sweeps": 0},
-            }
-        )
+        _emit_document([])
     else:
         print(f"feasible: {len(kb.axioms)} axioms over {len(ws)} worlds")
     return EXIT_OK
@@ -236,10 +242,7 @@ def _tracked_sentences(kb: KnowledgeBase):
 
 
 def cmd_propagate(args) -> int:
-    kb = load_kb(args.kb)
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
-    if not feasible(kb, ws):
-        return _infeasible_exit(kb, ws, args)
+    kb, ws = _open(args)
     if args.rules:
         names = [r.strip() for r in args.rules.split(",") if r.strip()]
         flags = {f: False for f in RuleSet.__dataclass_fields__}
@@ -255,34 +258,19 @@ def cmd_propagate(args) -> int:
     table, sweeps = propagate_fixpoint(kb, rules, tracked)
     judged = None
     if args.judge:
-        judged = judge_soundness_completeness(
-            table, entailed_intervals(kb, ws, tracked)
-        )
+        judged = judge_soundness_completeness(table, entailed_intervals(kb, ws, tracked))
     if args.json:
         entries = []
         for s, interval in table.items():
-            entry = {
-                "query": query_text(s),
-                "lower": rational_json(interval.lower),
-                "upper": rational_json(interval.upper),
-                "status": "determined",
-                "method": "propagation",
-            }
-            if judged is not None:
-                entry["verdict"] = judged.verdicts[s]
-            entries.append(entry)
-        doc = {
-            "queries": entries,
-            "feasible": True,
-            "diagnosis": None,
-            "stats": {"lp_pivots": 0, "bb_nodes": 0, "sweeps": sweeps},
-        }
-        if judged is not None:
-            doc["verdict"] = judged.aggregate
-        _emit_json(doc)
+            extra = {} if judged is None else {"verdict": judged.verdicts[s]}
+            entries.append(
+                _entry(s, TRUE, interval, "determined", "propagation", **extra)
+            )
+        extra = {} if judged is None else {"verdict": judged.aggregate}
+        _emit_document(entries, sweeps=sweeps, **extra)
         return EXIT_OK
     for s, interval in table.items():
-        line = f"{query_text(s)}: {_interval_text(interval, args.places)}"
+        line = _interval_line(s, TRUE, interval, args.places)
         if judged is not None:
             line += f"  verdict={judged.verdicts[s]}"
         print(line)
@@ -293,48 +281,28 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_maxent(args) -> int:
-    kb = load_kb(args.kb)
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
-    if not feasible(kb, ws):
-        return _infeasible_exit(kb, ws, args)
+    kb, ws = _open(args)
     report = precision_report(kb, ws)
     solution = report.solution
     if args.json:
-        entries = []
-        for e in report.entries:
-            entries.append(
-                {
-                    "query": query_text(e.target, e.given),
-                    "lower": rational_json(e.interval.lower),
-                    "upper": rational_json(e.interval.upper),
-                    "status": e.status,
-                    "method": "maxent",
-                    "maxent": e.maxent_value,
-                    "classification": e.classification,
-                }
+        entries = [
+            _entry(
+                e.target, e.given, e.interval, e.status, "maxent",
+                maxent=e.maxent_value, classification=e.classification,
             )
-        _emit_json(
-            {
-                "queries": entries,
-                "feasible": True,
-                "diagnosis": None,
-                "stats": {
-                    "lp_pivots": 0,
-                    "bb_nodes": 0,
-                    "sweeps": solution.iterations,
-                },
-                "entropy": solution.entropy,
-                "kkt_residual": solution.kkt_residual,
-                "converged": solution.converged,
-            }
+            for e in report.entries
+        ]
+        _emit_document(
+            entries,
+            entropy=solution.entropy,
+            kkt_residual=solution.kkt_residual,
+            iterations=solution.iterations,
+            converged=solution.converged,
         )
         return EXIT_OK
     for e in report.entries:
-        value = "-" if e.maxent_value is None else f"{e.maxent_value:.6f}"
-        print(
-            f"{query_text(e.target, e.given)}: {_interval_text(e.interval, args.places)}"
-            f"  maxent={value} [{e.classification}]"
-        )
+        line = _interval_line(e.target, e.given, e.interval, args.places)
+        print(line + "  " + _maxent_text(e))
     print(
         f"entropy={solution.entropy:.6f} kkt_residual={solution.kkt_residual:.2e}"
         f" iterations={solution.iterations} converged={solution.converged}"
@@ -349,9 +317,8 @@ def _print_mass(m: MassFunction, places: int) -> None:
 
 
 def cmd_ds(args) -> int:
-    kb = load_kb(args.kb)
     if args.action == "combine":
-        sources = mass_functions_from_kb(kb)
+        sources = mass_functions_from_kb(load_kb(args.kb))
         if not sources:
             print("no mass sources declared", file=sys.stderr)
             return EXIT_USAGE
@@ -367,89 +334,50 @@ def cmd_ds(args) -> int:
             combined, kappa = dempster_combine(combined, m)
             conflicts.append(kappa)
         if args.json:
-            _emit_json(
-                {
-                    "frame": list(combined.frame.elements),
-                    "mass": [
-                        {
-                            "subset": list(combined.frame.names_of(mask)),
-                            "num": value.numerator,
-                            "den": value.denominator,
-                        }
-                        for mask, value in combined.focal()
-                    ],
-                    "conflict": [rational_json(k) for k in conflicts],
-                }
-            )
+            doc = {"frame": list(combined.frame.elements), "mass": _mass_json(combined)}
+            _emit_json({**doc, "conflict": [rational_json(k) for k in conflicts]})
         else:
             _print_mass(combined, args.places)
             rendered = ", ".join(str(k) for k in conflicts) or "0"
             print(f"conflict: {rendered}")
         return EXIT_OK
 
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
-    envelope = envelope_from_entailment(kb, ws, frame_mapping_from_kb(kb))
+    kb, ws = _open(args, gate=False)
+    mapping = frame_mapping_from_kb(kb)  # no frame is a usage error, consistent or not
+    _require_feasible(kb, ws)
+    envelope = envelope_from_entailment(kb, ws, mapping)
+    frame = envelope.frame
     if args.action == "envelope":
         if args.json:
-            _emit_json(
-                {
-                    "frame": list(envelope.frame.elements),
-                    "envelope": [
-                        {
-                            "subset": list(envelope.frame.names_of(mask)),
-                            "num": envelope.lower(mask).numerator,
-                            "den": envelope.lower(mask).denominator,
-                        }
-                        for mask in envelope.frame.subsets()
-                    ],
-                }
-            )
+            lower = [
+                _subset_json(frame.names_of(mask), envelope.lower(mask))
+                for mask in frame.subsets()
+            ]
+            _emit_json({"frame": list(frame.elements), "envelope": lower})
         else:
-            for mask in envelope.frame.subsets():
-                names = ", ".join(envelope.frame.names_of(mask))
+            for mask in frame.subsets():
+                names = ", ".join(frame.names_of(mask))
                 print(f"lower({{{names}}}) = {envelope.lower(mask)}")
         return EXIT_OK
-    # representable
     verdict = mass_from_bel(envelope)
-    if isinstance(verdict, NotRepresentable):
-        if args.json:
-            _emit_json(
-                {
-                    "representable": False,
-                    "witness": {
-                        "subset": list(verdict.subset_names),
-                        "num": verdict.mass.numerator,
-                        "den": verdict.mass.denominator,
-                    },
-                }
-            )
-        else:
-            names = ", ".join(verdict.subset_names)
-            print(f"NOT representable: m({{{names}}}) = {verdict.mass}")
-        return EXIT_OK
+    representable = not isinstance(verdict, NotRepresentable)
     if args.json:
-        _emit_json(
-            {
-                "representable": True,
-                "mass": [
-                    {
-                        "subset": list(verdict.frame.names_of(mask)),
-                        "num": value.numerator,
-                        "den": value.denominator,
-                    }
-                    for mask, value in verdict.focal()
-                ],
-            }
-        )
-    else:
+        if representable:
+            _emit_json({"representable": True, "mass": _mass_json(verdict)})
+        else:
+            witness = _subset_json(verdict.subset_names, verdict.mass)
+            _emit_json({"representable": False, "witness": witness})
+    elif representable:
         print("representable as a mass function:")
         _print_mass(verdict, args.places)
+    else:
+        names = ", ".join(verdict.subset_names)
+        print(f"NOT representable: m({{{names}}}) = {verdict.mass}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    kb = load_kb(args.kb)
-    ws = build_world_space(kb.atoms, kb.background, atom_cap=args.atom_cap)
+    kb, ws = _open(args, gate=False)  # the oracles never touch the simplex
     for target, given in kb.queries:
         if args.method == "vertex":
             interval = vertex_bounds(kb, ws, target, given)
@@ -459,7 +387,7 @@ def cmd_oracle(args) -> int:
                 cfg=GridSearchConfig(step=Fraction(args.step)),
             )
         rendered = "no feasible grid point" if interval is None else str(interval)
-        print(f"{query_text(target, given)}: {rendered}")
+        print(f"{p_term_text(target, given)}: {rendered}")
     return EXIT_OK
 
 
@@ -469,6 +397,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max atoms to enumerate (default %(default)s)",
         )
         p.add_argument(
-            "--places", type=int, default=6,
+            "--places", type=_int_at_least(0), default=6,
             help="decimal places in rendered output (default %(default)s)",
         )
 
@@ -501,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="branch-and-bound convergence tolerance (default %(default)s)",
     )
     p.add_argument(
-        "--node-cap", type=int, default=DEFAULT_NODE_CAP,
+        "--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP,
         help="branch-and-bound node cap per direction (default %(default)s)",
     )
     p.set_defaults(func=cmd_entail)
@@ -513,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="local interval propagation")
     common(p)
     p.add_argument(
-        "--rules", "--propagate", dest="rules", default="",
+        "--rules", default="",
         help="comma-separated rule families (default: all sound rules)",
     )
     p.add_argument(
@@ -546,6 +487,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Inconsistent as exc:
+        _print_diagnosis(exc, args.json)
+        return EXIT_INCONSISTENT
     except (InfeasibleError, InfeasibleAugmentedError) as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -227,14 +227,6 @@ class LinearConstraint:
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {self.rel!r}")
 
-    def holds_at(self, x) -> bool:
-        lhs = sum((c * x[i] for i, c in self.coeffs.items()), start=ZERO)
-        if self.rel == "<=":
-            return lhs <= self.rhs
-        if self.rel == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
-
 
 def linearize(axiom: CpiAxiom, ws: WorldSpace) -> list[LinearConstraint]:
     """Exact linear form of an interval axiom over world probabilities.

@@ -94,9 +94,6 @@ class BoundsTable:
         self._intervals[s] = merged
         return True
 
-    def sweeps_snapshot(self):
-        return dict(self._intervals)
-
 
 def apply_rule_negation(table: BoundsTable, s: Sentence) -> bool:
     """Tighten the tracked complement of s from s's interval."""

@@ -324,9 +324,6 @@ class World:
         except ValueError:
             raise UnknownAtomError(f"atom {name!r} not in world") from None
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(zip(self.atoms, self.values))
-
 
 def evaluate(s: Sentence, w: World) -> bool:
     """Classical truth-functional evaluation of ``s`` in world ``w``."""

@@ -93,7 +93,9 @@ def solve_lp(num_vars: int, rows, objective, sense: str = "min") -> LpResult:
         else:
             coeffs, rel, rhs = row
         rhs = Fraction(rhs)
-        if rhs < ZERO:
+        # a >= row with rhs 0 holds at its slack once negated, so it needs
+        # no artificial variable for phase 1 to drive out
+        if rhs < ZERO or (rhs == ZERO and rel == ">="):
             coeffs = {j: -c for j, c in coeffs.items()}
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, JSON round-trips, determinism."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,8 @@ frame A B C
 0.4 <= P((A | C))
 0.5 <= P((B | C))
 """
+
+FRAMED_INCONSISTENT = COUNTEREXAMPLE + "P(A) = 0.9\nP(B) = 0.9\n"
 
 MASSES = """\
 frame a b c
@@ -135,6 +138,13 @@ class TestEntail:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--places", "-2"], ["--node-cap", "-3"]])
+    def test_out_of_range_flag_is_usage_error(self, capsys, kb_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["entail", kb_file(BASIC), *flags])
+        assert exc.value.code == 1
+        assert "must be at least" in capsys.readouterr().err
+
     def test_branch_and_bound_reports_pivots(self, capsys, kb_file):
         code, out, _ = run(capsys, "entail", kb_file(AUGMENTED), "--json")
         assert code == 0
@@ -190,6 +200,11 @@ class TestPropagate:
         assert code == 0
         assert "P(A & B): [0, 1]" in out  # frechet disabled: stays vacuous
 
+    def test_propagate_alias_is_usage_error(self, capsys, kb_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", kb_file(BASIC), "--propagate", "negation"])
+        assert exc.value.code == 1
+
     def test_unknown_rule(self, capsys, kb_file):
         code, _, err = run(
             capsys, "propagate", kb_file(BASIC), "--rules", "wishful"
@@ -212,6 +227,13 @@ class TestMaxent:
         assert query["classification"] == "partially_determined"
         assert doc["kkt_residual"] < 1e-8
 
+    def test_json_iterations_are_not_sweeps(self, capsys, kb_file):
+        code, out, _ = run(capsys, "maxent", kb_file(BASIC), "--json")
+        doc = json.loads(out)
+        assert list(doc)[-3:] == ["kkt_residual", "iterations", "converged"]
+        assert doc["iterations"] >= 1
+        assert doc["stats"]["sweeps"] == 0
+
 
 class TestDs:
     def test_representable_counterexample(self, capsys, kb_file):
@@ -232,6 +254,22 @@ class TestDs:
         assert code == 0
         assert "lower({A, B}) = 3/10" in out
         assert "lower({A, B, C}) = 1" in out
+
+    @pytest.mark.parametrize("action", ["envelope", "representable"])
+    def test_inconsistent_frame_exits_2_with_diagnosis(self, capsys, kb_file, action):
+        path = kb_file(FRAMED_INCONSISTENT)
+        code, out, _ = run(capsys, "ds", action, path)
+        assert code == 2
+        assert "minimal conflicting subset: axiom 4, axiom 5" in out
+        code, out, _ = run(capsys, "ds", action, path, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["feasible"] is False and doc["diagnosis"] == [4, 5]
+
+    def test_inconsistent_without_frame_is_usage_error(self, capsys, kb_file):
+        code, out, err = run(capsys, "ds", "envelope", kb_file(OVERDETERMINED))
+        assert code == 1 and out == ""
+        assert "declares no frame" in err
 
     def test_combine_named_sources(self, capsys, kb_file):
         code, out, _ = run(capsys, "ds", "combine", kb_file(MASSES), "s1", "s2")
@@ -280,3 +318,51 @@ def test_stdin_input(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert "P(A): [0.5, 0.5]" in out
+
+
+# every exact rational the text output shows, in order
+TEXT_RATIONAL = re.compile(
+    r"(?:exact |, |(?<![<>])= |conflict: )(-?\d+(?:/\d+)?)(?=[,)\s]|$)"
+)
+COMMANDS = [
+    ["entail", "{kb}"], ["entail", "{kb}", "--maxent"], ["check", "{kb}"],
+    ["propagate", "{kb}", "--judge"], ["maxent", "{kb}"],
+    ["ds", "envelope", "{kb}"], ["ds", "representable", "{kb}"],
+    ["ds", "combine", "{kb}"], ["ds", "combine", "{kb}", "s1", "s2"],
+]
+FIXTURES = {
+    "basic": BASIC, "overdetermined": OVERDETERMINED, "counterexample": COUNTEREXAMPLE,
+    "framed_inconsistent": FRAMED_INCONSISTENT, "masses": MASSES, "augmented": AUGMENTED,
+}
+
+
+def json_rationals(node):
+    if isinstance(node, dict):
+        if "num" in node and "den" in node:
+            return [F(node["num"], node["den"])]
+        return [r for value in node.values() for r in json_rationals(value)]
+    if isinstance(node, list):
+        return [r for value in node for r in json_rationals(value)]
+    return []
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_text_and_json_agree(capsys, kb_file, fixture, command):
+    path = kb_file(FIXTURES[fixture])
+    argv = [path if arg == "{kb}" else arg for arg in command]
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--json")
+    assert code == json_code
+    if not out:
+        assert text == ""
+        return
+    doc = json.loads(out)
+    if code == 2:
+        listed = re.search(r"minimal conflicting subset: (.*)", text).group(1)
+        assert [int(n) for n in re.findall(r"\d+", listed)] == doc["diagnosis"]
+        return
+    shown = [F(r) for r in TEXT_RATIONAL.findall(text)]
+    if doc.get("conflict") == []:
+        shown.remove(F(0))  # "conflict: 0" renders an empty conflict list
+    assert shown == json_rationals(doc)

@@ -95,3 +95,12 @@ def test_entail_maxent_solves_each_query_once(lp_calls, tmp_path, capsys):
     queries = len(parse_kb(BASIC).queries)
     # one feasibility LP, a min/max pair per query, one maxent presolve LP
     assert len(lp_calls) == 1 + 2 * queries + 1
+
+
+@pytest.mark.parametrize("method", ["vertex", "grid"])
+def test_oracle_solves_no_lp(lp_calls, tmp_path, capsys, method):
+    path = tmp_path / "small.kb"
+    path.write_text("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8\nquery P(B)\n")
+    assert main(["oracle", str(path), "--method", method, "--step", "1/10"]) == 0
+    assert "P(B): [1/2, 4/5]" in capsys.readouterr().out
+    assert lp_calls == []

@@ -50,6 +50,13 @@ def test_negative_rhs_normalization():
     assert res.status == "optimal" and res.value == F(3)
 
 
+def test_zero_rhs_lower_bound_row_starts_on_its_slack():
+    # x0 - x1 >= 0 holds at x = 0: no artificial, so no phase-1 pivot
+    res = solve_lp(2, [({0: F(1), 1: F(-1)}, ">=", F(0))], {0: F(1)}, "min")
+    assert res.status == "optimal" and res.value == F(0)
+    assert res.pivots == 0
+
+
 def test_degenerate_does_not_cycle():
     # classic degenerate instance (Beale-like); Bland's rule must terminate
     rows = [
