@@ -314,10 +314,11 @@ def _split_box(box: ProbabilityInterval, at: Fraction):
 def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
     """One directional search.
 
-    Returns (outer bound, converged, nodes, incumbent value or None, LP
-    pivots).  The outer bound is valid at any stop point: every region is
-    either still on the heap with a bound no better than it, was proven
-    infeasible, or cannot beat the incumbent.
+    Returns (outer bound, converged, nodes, incumbent value or None); stops
+    once the incumbent is within the tolerance of the heap's best bound.
+    The outer bound is valid at any stop point: every region is either still
+    on the heap with a bound no better than it, was proven infeasible, or
+    cannot beat the incumbent.
     """
     sign = 1 if sense == "min" else -1
 
@@ -330,15 +331,15 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
     heap = [(Fraction(-(10**12)), next(counter), root_boxes)]
     incumbent: Fraction | None = None
     nodes = 0
-    pivots = 0
     node_cap = max(1, node_cap)
     while heap and nodes < node_cap:
+        if incumbent is not None and score(incumbent) - heap[0][0] <= tolerance:
+            break
         stored_score, _, boxes = heapq.heappop(heap)
         if incumbent is not None and stored_score >= score(incumbent):
             continue  # region cannot beat the incumbent
         lp = problem.solve_node(boxes, sense)
         nodes += 1
-        pivots += lp.pivots
         if lp.status == "infeasible":
             continue
         bound = lp.value
@@ -370,7 +371,7 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
         raise InfeasibleAugmentedError(
             "assumptions are inconsistent with the axioms (all regions infeasible)"
         )
-    return outer, converged, nodes, incumbent, pivots
+    return outer, converged, nodes, incumbent
 
 
 def entail_augmented(
@@ -393,7 +394,6 @@ def entail_augmented(
     tolerance = Fraction(tolerance)
     rows = kb_rows(kb, ws)
     problem = _AugmentedProblem(rows, kb.assumptions, ws, target, given)
-    pivots = 0
 
     # initial boxes: each aggregate's range under the axioms alone
     boxes = []
@@ -401,7 +401,6 @@ def entail_augmented(
         lo_lp, hi_lp = probability_bounds(
             rows, problem.n, extension(sentence, ws), range(problem.n)
         )
-        pivots += lo_lp.pivots + hi_lp.pivots
         if lo_lp.status == "infeasible":
             raise InfeasibleAugmentedError("axiom system alone is already infeasible")
         boxes.append(ProbabilityInterval(lo_lp.value, hi_lp.value))
@@ -411,32 +410,26 @@ def entail_augmented(
         # sound vacuity test: max antecedent mass over the relaxed system
         vac_problem = _AugmentedProblem(rows, kb.assumptions, ws, given, TRUE)
         lp = vac_problem.solve_node(root_boxes, "max")
-        pivots += lp.pivots
         if lp.status == "infeasible":
             raise InfeasibleAugmentedError(
                 "assumptions are inconsistent with the axioms"
             )
         if lp.value == ZERO:
             return AugmentedResult(
-                QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False, pivots),
+                QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False),
                 "converged",
                 0,
             )
 
-    lo, lo_conv, lo_nodes, lo_inc, lo_pivots = _bb_run(
-        problem, root_boxes, "min", tolerance, node_cap
-    )
-    hi, hi_conv, hi_nodes, hi_inc, hi_pivots = _bb_run(
-        problem, root_boxes, "max", tolerance, node_cap
-    )
+    lo, lo_conv, lo_nodes, lo_inc = _bb_run(problem, root_boxes, "min", tolerance, node_cap)
+    hi, hi_conv, hi_nodes, hi_inc = _bb_run(problem, root_boxes, "max", tolerance, node_cap)
     nodes = lo_nodes + hi_nodes
-    pivots += lo_pivots + hi_pivots
     if given != TRUE and lo_inc is None and hi_inc is None:
         # no exactly-feasible point with positive antecedent mass was found,
         # so the conditional could still be undefined everywhere: widen to
         # the only interval that is safe in that case
         return AugmentedResult(
-            QueryResult(DETERMINED, ProbabilityInterval.vacuous(), False, False, pivots),
+            QueryResult(DETERMINED, ProbabilityInterval.vacuous(), False, False),
             "outer_bound",
             nodes,
         )
@@ -451,7 +444,6 @@ def entail_augmented(
             ProbabilityInterval(lo, hi),
             lower_attained=lo_inc is not None and lo_inc == lo,
             upper_attained=hi_inc is not None and hi_inc == hi,
-            pivots=pivots,
         ),
         "converged" if converged else "outer_bound",
         nodes,

@@ -57,6 +57,7 @@ from .propagation import (
     propagate_fixpoint,
 )
 from .sentences import DEFAULT_ATOM_CAP, TRUE, build_world_space
+from .simplex import counting
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,11 +114,11 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _emit_document(entries, diagnosis=None, pivots=0, nodes=0, sweeps=0, **extra):
+def _emit_document(entries, stats, diagnosis=None, nodes=0, sweeps=0, **extra):
     """The query-answering commands' JSON document; ``extra`` follows ``stats``."""
     head = {"queries": entries, "feasible": diagnosis is None, "diagnosis": diagnosis}
-    stats = {"lp_pivots": pivots, "bb_nodes": nodes, "sweeps": sweeps}
-    _emit_json({**head, "stats": stats, **extra})
+    counts = {"lp_pivots": stats.pivots, "bb_nodes": nodes, "sweeps": sweeps}
+    _emit_json({**head, "stats": counts, **extra})
 
 
 def _entry(target, given, interval, status, method, **extra) -> dict:
@@ -148,9 +149,9 @@ def _mass_json(m: MassFunction) -> list[dict]:
     return [_subset_json(m.frame.names_of(mask), value) for mask, value in m.focal()]
 
 
-def _print_diagnosis(exc: _Inconsistent, as_json: bool) -> None:
+def _print_diagnosis(exc: _Inconsistent, as_json: bool, stats) -> None:
     if as_json:
-        _emit_document([], diagnosis=exc.diagnosis)
+        _emit_document([], stats, diagnosis=exc.diagnosis)
         return
     print("inconsistent: no probability distribution satisfies the axioms")
     listed = ", ".join(f"axiom {i}" for i in exc.diagnosis)
@@ -174,7 +175,7 @@ def _maxent_text(e) -> str:
     return f"maxent={value} [{e.classification}]"
 
 
-def cmd_entail(args) -> int:
+def cmd_entail(args, stats) -> int:
     kb, ws = _open(args)
     queries = list(kb.queries)
     solved = [_solve_query(kb, ws, t, g, args) for t, g in queries]
@@ -185,7 +186,6 @@ def cmd_entail(args) -> int:
         results = None if kb.assumptions else [s.result for s in solved]
         maxent = precision_report(kb, ws, queries, results=results).entries
 
-    total_pivots = sum(s.result.pivots for s in solved)
     total_nodes = sum(s.nodes for s in solved)
     entries = []
     for (target, given), s, e in zip(queries, solved, maxent):
@@ -213,16 +213,16 @@ def cmd_entail(args) -> int:
         line = _interval_line(target, given, result.interval, args.places)
         print(line + "  " + " ".join(extras))
     if args.json:
-        _emit_document(entries, pivots=total_pivots, nodes=total_nodes)
+        _emit_document(entries, stats, nodes=total_nodes)
     else:
-        print(f"stats: lp_pivots={total_pivots} bb_nodes={total_nodes}")
+        print(f"stats: lp_pivots={stats.pivots} bb_nodes={total_nodes}")
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, stats) -> int:
     kb, ws = _open(args)
     if args.json:
-        _emit_document([])
+        _emit_document([], stats)
     else:
         print(f"feasible: {len(kb.axioms)} axioms over {len(ws)} worlds")
     return EXIT_OK
@@ -241,7 +241,7 @@ def _tracked_sentences(kb: KnowledgeBase):
     return list(dict.fromkeys(tracked))
 
 
-def cmd_propagate(args) -> int:
+def cmd_propagate(args, stats) -> int:
     kb, ws = _open(args)
     if args.rules:
         names = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -267,7 +267,7 @@ def cmd_propagate(args) -> int:
                 _entry(s, TRUE, interval, "determined", "propagation", **extra)
             )
         extra = {} if judged is None else {"verdict": judged.aggregate}
-        _emit_document(entries, sweeps=sweeps, **extra)
+        _emit_document(entries, stats, sweeps=sweeps, **extra)
         return EXIT_OK
     for s, interval in table.items():
         line = _interval_line(s, TRUE, interval, args.places)
@@ -280,7 +280,7 @@ def cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def cmd_maxent(args) -> int:
+def cmd_maxent(args, stats) -> int:
     kb, ws = _open(args)
     report = precision_report(kb, ws)
     solution = report.solution
@@ -293,7 +293,7 @@ def cmd_maxent(args) -> int:
             for e in report.entries
         ]
         _emit_document(
-            entries,
+            entries, stats,
             entropy=solution.entropy,
             kkt_residual=solution.kkt_residual,
             iterations=solution.iterations,
@@ -316,7 +316,7 @@ def _print_mass(m: MassFunction, places: int) -> None:
         print(f"m({{{names}}}) = {value} ({decimal_str(value, places)})")
 
 
-def cmd_ds(args) -> int:
+def cmd_ds(args, stats) -> int:
     if args.action == "combine":
         sources = mass_functions_from_kb(load_kb(args.kb))
         if not sources:
@@ -376,7 +376,7 @@ def cmd_ds(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, stats) -> int:
     kb, ws = _open(args, gate=False)  # the oracles never touch the simplex
     for target, given in kb.queries:
         if args.method == "vertex":
@@ -485,20 +485,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _Inconsistent as exc:
-        _print_diagnosis(exc, args.json)
-        return EXIT_INCONSISTENT
-    except (InfeasibleError, InfeasibleAugmentedError) as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except TotalConflictError as exc:
-        print(f"total conflict: {exc}", file=sys.stderr)
-        return EXIT_TOTAL_CONFLICT
-    except (CpiboundsError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with counting() as stats:  # every LP the command runs, diagnosis included
+        try:
+            return args.func(args, stats)
+        except _Inconsistent as exc:
+            _print_diagnosis(exc, args.json, stats)
+            return EXIT_INCONSISTENT
+        except (InfeasibleError, InfeasibleAugmentedError) as exc:
+            print(f"inconsistent: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+        except TotalConflictError as exc:
+            print(f"total conflict: {exc}", file=sys.stderr)
+            return EXIT_TOTAL_CONFLICT
+        except (CpiboundsError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ class QueryResult:
     interval: ProbabilityInterval | None
     lower_attained: bool = True
     upper_attained: bool = True
-    pivots: int = 0
 
 
 def homogenized_rows(rows, n: int, given_ext) -> list:
@@ -126,21 +125,14 @@ def entail_conditional(
     low, high = probability_bounds(
         rows, n, extension(conjunction(target, given), ws), extension(given, ws)
     )
-    pivots = low.pivots + high.pivots
     if low.status == "infeasible":
         # either no admissible distribution exists, or every one of them
         # gives the antecedent probability zero
-        check = _feasibility(rows, n)
-        if check.status == "infeasible":
+        if _feasibility(rows, n).status == "infeasible":
             raise InfeasibleError("axiom system admits no distribution")
-        pivots += check.pivots
-        return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False, pivots)
+        return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False)
     assert low.status == "optimal" and high.status == "optimal"
-    return QueryResult(
-        DETERMINED,
-        ProbabilityInterval(low.value, high.value),
-        pivots=pivots,
-    )
+    return QueryResult(DETERMINED, ProbabilityInterval(low.value, high.value))
 
 
 def entail_unconditional(

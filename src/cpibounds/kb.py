@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     InvalidBoundError,
@@ -211,21 +211,16 @@ class KnowledgeBase:
             yield given
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """Homogeneous row over world-probability variables: coeffs . x  rel  rhs.
 
     Linearized axioms always have rhs 0; the entailment module adds the
-    single normalization row separately.
+    single normalization row separately.  The solver checks ``rel``.
     """
 
     coeffs: dict
     rel: str  # "<=", "=", ">="
     rhs: Fraction = ZERO
-
-    def __post_init__(self):
-        if self.rel not in ("<=", "=", ">="):
-            raise ValueError(f"bad relation {self.rel!r}")
 
 
 def linearize(axiom: CpiAxiom, ws: WorldSpace) -> list[LinearConstraint]:

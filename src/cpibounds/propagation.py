@@ -206,25 +206,23 @@ def propagate_fixpoint(
         if ax.antecedent == TRUE:
             table.tighten(ax.consequent, ax.bounds, "axiom", (ax.consequent,))
 
-    apps = []
+    def fuzzy_on_points(table, a, b) -> bool:
+        ia, ib = table.interval(a), table.interval(b)
+        return ia.is_point and ib.is_point and apply_rule_fuzzy(table, a, b)
+
+    apps = []  # (rule, *operands), run as rule(table, *operands)
     if rules.negation:
-        for s in table.tracked:
-            apps.append(("negation", s))
-    pairs = [
-        (a, b) for a in table.tracked for b in table.tracked if a != b
-    ]
-    if rules.frechet_conjunction:
-        for a, b in pairs:
-            apps.append(("frechet_conjunction", a, b))
-    if rules.frechet_disjunction:
-        for a, b in pairs:
-            apps.append(("frechet_disjunction", a, b))
-    if rules.fuzzy_minmax:
-        for a, b in pairs:
-            apps.append(("fuzzy_minmax", a, b))
+        apps += [(apply_rule_negation, s) for s in table.tracked]
+    pairs = [(a, b) for a in table.tracked for b in table.tracked if a != b]
+    for enabled, rule in (
+        (rules.frechet_conjunction, _frechet_conjunction),
+        (rules.frechet_disjunction, _frechet_disjunction),
+        (rules.fuzzy_minmax, fuzzy_on_points),
+    ):
+        if enabled:
+            apps += [(rule, a, b) for a, b in pairs]
     if rules.conditional_chain:
-        for ax in kb.axioms:
-            apps.append(("conditional_chain", ax))
+        apps += [(apply_rule_conditional_chain, ax) for ax in kb.axioms]
     if order_seed is not None:
         random.Random(order_seed).shuffle(apps)
 
@@ -232,20 +230,8 @@ def propagate_fixpoint(
     while sweeps < sweep_cap:
         sweeps += 1
         changed = False
-        for app in apps:
-            kind = app[0]
-            if kind == "negation":
-                changed |= apply_rule_negation(table, app[1])
-            elif kind == "frechet_conjunction":
-                changed |= _frechet_conjunction(table, app[1], app[2])
-            elif kind == "frechet_disjunction":
-                changed |= _frechet_disjunction(table, app[1], app[2])
-            elif kind == "fuzzy_minmax":
-                ia, ib = table.interval(app[1]), table.interval(app[2])
-                if ia.is_point and ib.is_point:
-                    changed |= apply_rule_fuzzy(table, app[1], app[2])
-            else:
-                changed |= apply_rule_conditional_chain(table, app[1])
+        for rule, *operands in apps:
+            changed |= rule(table, *operands)
         if not changed:
             break
     return table, sweeps

@@ -9,15 +9,26 @@ index on ratio ties), which rules out cycling.
 This solver is deliberately dense and tableau-based: the polytopes in
 this package have at most a few dozen rows and columns, and exactness
 matters far more than speed.
+
+The solver counts its own work: every LP solved inside a ``counting()``
+block adds its pivots to that block's :class:`Stats`.  Open scopes are
+process-wide (one module-level stack, like a world space's extension
+cache), which is sound because the package runs no threads.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# each relation and the one it becomes when its row is negated
+_MIRROR = {"<=": ">=", ">=": "<=", "=": "="}
+# the open counting() scopes, innermost last
+_scopes: list[Stats] = []
 
 
 @dataclass
@@ -26,6 +37,24 @@ class LpResult:
     value: Fraction | None
     x: list[Fraction] | None
     pivots: int
+
+
+@dataclass
+class Stats:
+    """Work the solver did inside one ``counting()`` scope."""
+
+    pivots: int = 0
+
+
+@contextmanager
+def counting():
+    """A fresh :class:`Stats` that every LP solved in the block adds to; scopes nest."""
+    stats = Stats()
+    _scopes.append(stats)
+    try:
+        yield stats
+    finally:
+        _scopes.pop()
 
 
 def _pivot(tableau, basis, row, col) -> None:
@@ -80,25 +109,30 @@ def _run_simplex(tableau, basis) -> tuple[str, int]:
 def solve_lp(num_vars: int, rows, objective, sense: str = "min") -> LpResult:
     """Optimize ``objective . x`` subject to ``rows`` and x >= 0.
 
-    ``rows`` is an iterable of objects with ``coeffs`` (mapping column to
-    Fraction), ``rel``, and ``rhs`` attributes, or plain (coeffs, rel, rhs)
-    tuples.  ``objective`` maps columns to Fractions (missing = 0).
+    Rows are (coeffs, rel, rhs) triples such as ``kb.LinearConstraint``;
+    ``coeffs`` and ``objective`` map columns to Fractions (missing = 0).
+    The pivots count in every open ``counting()`` scope.
     """
+    result = _solve(num_vars, rows, objective, sense)
+    for stats in _scopes:
+        stats.pivots += result.pivots
+    return result
+
+
+def _solve(num_vars: int, rows, objective, sense: str) -> LpResult:
     if sense not in ("min", "max"):
         raise ValueError(f"bad sense {sense!r}")
     canon = []
-    for row in rows:
-        if hasattr(row, "coeffs"):
-            coeffs, rel, rhs = row.coeffs, row.rel, row.rhs
-        else:
-            coeffs, rel, rhs = row
+    for coeffs, rel, rhs in rows:
+        if rel not in _MIRROR:
+            raise ValueError(f"bad relation {rel!r}")
         rhs = Fraction(rhs)
         # a >= row with rhs 0 holds at its slack once negated, so it needs
         # no artificial variable for phase 1 to drive out
         if rhs < ZERO or (rhs == ZERO and rel == ">="):
             coeffs = {j: -c for j, c in coeffs.items()}
             rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            rel = _MIRROR[rel]
         canon.append((coeffs, rel, rhs))
 
     m = len(canon)

@@ -161,6 +161,7 @@ class TestAugmentedEntailment:
         assert interval.lower <= F(0)
         assert abs(float(interval.upper) - true_max) < 1e-4
         assert res.nodes > 4
+        assert res.nodes < 100
 
     def test_outer_bounds_contain_grid_search(self):
         cfg = GridSearchConfig(step=F(1, 50), slack=F(1, 100))

@@ -1,9 +1,11 @@
 """How many exact LPs each caller solves: no LP whose result is discarded.
 
 ``solve_lp`` is wrapped at every lookup site inside the package, so each
-test sees every LP its call solves.
+test sees every LP its call solves, and can check the pivots the CLI
+reports against the pivots those LPs ran.
 """
 
+import json
 import sys
 
 import pytest
@@ -44,15 +46,20 @@ frame A B C
 0.5 <= P((B | C))
 """
 
+INCONSISTENT = "atom A B\nP(A) = 0.3\nP(A & B) = 0.4\nquery P(B)\n"
+
+AUGMENTED = "atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)\nquery P(A & B)\n"
+
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Records the sense of every LP the package solves."""
+    """Records the result of every LP the package solves."""
     calls = []
 
     def counted(num_vars, rows, objective, sense="min"):
-        calls.append(sense)
-        return solve_lp(num_vars, rows, objective, sense)
+        result = solve_lp(num_vars, rows, objective, sense)
+        calls.append(result)
+        return result
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cpibounds.") and getattr(module, "solve_lp", None) is solve_lp:
@@ -104,3 +111,34 @@ def test_oracle_solves_no_lp(lp_calls, tmp_path, capsys, method):
     assert main(["oracle", str(path), "--method", method, "--step", "1/10"]) == 0
     assert "P(B): [1/2, 4/5]" in capsys.readouterr().out
     assert lp_calls == []
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [
+        (BASIC, ["entail"], 0),  # the feasibility gate included
+        (BASIC, ["entail", "--maxent"], 0),
+        (AUGMENTED, ["entail"], 0),
+        (BASIC, ["check"], 0),
+        (BASIC, ["maxent"], 0),
+        (BASIC, ["propagate", "--judge"], 0),
+        (INCONSISTENT, ["check"], 2),  # gate and diagnosis
+        (INCONSISTENT, ["entail"], 2),
+    ],
+    ids=["entail", "entail-maxent", "entail-bb", "check", "maxent", "propagate-judge",
+         "check-diagnosis", "entail-diagnosis"],
+)
+def test_json_lp_pivots_are_the_pivots_run(lp_calls, tmp_path, capsys, text, argv, code):
+    path = tmp_path / "input.kb"
+    path.write_text(text)
+    assert main([argv[0], str(path), "--json", *argv[1:]]) == code
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert lp_calls and stats["lp_pivots"] == sum(lp.pivots for lp in lp_calls)
+
+
+def test_text_lp_pivots_are_the_pivots_run(lp_calls, tmp_path, capsys):
+    path = tmp_path / "basic.kb"
+    path.write_text(BASIC)
+    assert main(["entail", str(path), "--maxent"]) == 0
+    ran = sum(lp.pivots for lp in lp_calls)
+    assert f"stats: lp_pivots={ran} " in capsys.readouterr().out

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from cpibounds.simplex import solve_lp
+import pytest
+
+from cpibounds.simplex import counting, solve_lp
 
 F = Fraction
 
@@ -55,6 +57,26 @@ def test_zero_rhs_lower_bound_row_starts_on_its_slack():
     res = solve_lp(2, [({0: F(1), 1: F(-1)}, ">=", F(0))], {0: F(1)}, "min")
     assert res.status == "optimal" and res.value == F(0)
     assert res.pivots == 0
+
+
+def test_bad_relation_is_rejected():
+    # a tuple row is checked like a LinearConstraint, not solved as "="
+    with pytest.raises(ValueError, match="bad relation"):
+        solve_lp(1, [({0: 1}, "<", 1)], {0: 1}, "max")
+
+
+def test_counting_sees_the_lps_solved_inside_it():
+    rows = [({0: F(1), 1: F(2)}, "<=", F(4)), ({0: F(3), 1: F(1)}, "<=", F(6))]
+    objective = {0: F(1), 1: F(1)}
+    with counting() as outer:
+        first = solve_lp(2, rows, objective, "max")
+        with counting() as inner:
+            second = solve_lp(2, rows, objective, "min")
+            third = solve_lp(2, [({0: F(1)}, ">=", F(1))], objective, "min")
+    solve_lp(2, rows, objective, "max")  # after both scopes closed
+    assert first.pivots > 0 and third.pivots > 0
+    assert inner.pivots == second.pivots + third.pivots
+    assert outer.pivots == first.pivots + second.pivots + third.pivots
 
 
 def test_degenerate_does_not_cycle():
