@@ -274,13 +274,6 @@ class _AugmentedProblem:
         return worst
 
 
-def relaxation_feasible(rows, assumptions, ws: WorldSpace) -> bool:
-    """Root-relaxation feasibility over unit boxes (sound when False)."""
-    problem = _AugmentedProblem(rows, assumptions, ws, TRUE, TRUE)
-    boxes = tuple(ProbabilityInterval.vacuous() for _ in problem.pool.sentences)
-    return solve_lp(problem.ncols, problem.node_rows(boxes), {}, "min").status == "optimal"
-
-
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with the smallest denominator in [lo, hi]."""
     if lo > hi:
@@ -395,9 +388,15 @@ def entail_augmented(
     rows = kb_rows(kb, ws)
     problem = _AugmentedProblem(rows, kb.assumptions, ws, target, given)
 
-    # initial boxes: each aggregate's range under the axioms alone
+    # initial boxes: each McCormick factor's range under the axioms alone;
+    # any other aggregate keeps the unit box, which emits no row (its range
+    # is already implied by the axiom rows of every node LP)
+    factors = {k for product in problem.products for k in product}
     boxes = []
-    for sentence in problem.pool.sentences:
+    for k, sentence in enumerate(problem.pool.sentences):
+        if k not in factors:
+            boxes.append(ProbabilityInterval.vacuous())
+            continue
         lo_lp, hi_lp = probability_bounds(
             rows, problem.n, extension(sentence, ws), range(problem.n)
         )

@@ -164,7 +164,7 @@ def _solve_query(kb, ws, target, given, args) -> AugmentedResult:
     if kb.assumptions:
         return entail_augmented(
             kb, ws, target, given,
-            tolerance=Fraction(args.tolerance),
+            tolerance=args.tolerance,
             node_cap=args.node_cap,
         )
     return AugmentedResult(entail_conditional(kb, ws, target, given), "converged", 0)
@@ -184,7 +184,7 @@ def cmd_entail(args, stats) -> int:
     if args.maxent and queries:
         # B&B intervals are not the axioms-only ones the report classifies
         results = None if kb.assumptions else [s.result for s in solved]
-        maxent = precision_report(kb, ws, queries, results=results).entries
+        maxent = precision_report(kb, ws, results=results).entries
 
     total_nodes = sum(s.nodes for s in solved)
     entries = []
@@ -384,7 +384,7 @@ def cmd_oracle(args, stats) -> int:
         else:
             interval = grid_bounds(
                 kb, ws, target, given,
-                cfg=GridSearchConfig(step=Fraction(args.step)),
+                cfg=GridSearchConfig(step=args.step),
             )
         rendered = "no feasible grid point" if interval is None else str(interval)
         print(f"{p_term_text(target, given)}: {rendered}")
@@ -399,16 +399,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(kind, low):
+    """An argparse type: a ``kind`` (int or Fraction) no smaller than ``low``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ZeroDivisionError:
+            raise ValueError(text) from None  # argparse reports an invalid value
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type when int() fails
+    parse.__name__ = kind.__name__  # argparse names the type of an invalid value
     return parse
 
 
@@ -430,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max atoms to enumerate (default %(default)s)",
         )
         p.add_argument(
-            "--places", type=_int_at_least(0), default=6,
+            "--places", type=_at_least(int, 0), default=6,
             help="decimal places in rendered output (default %(default)s)",
         )
 
@@ -438,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--maxent", action="store_true", help="add maximum-entropy columns")
     p.add_argument(
-        "--tolerance", default=str(DEFAULT_TOLERANCE),
+        "--tolerance", type=_at_least(Fraction, 0), default=str(DEFAULT_TOLERANCE),
         help="branch-and-bound convergence tolerance (default %(default)s)",
     )
     p.add_argument(
-        "--node-cap", type=_int_at_least(1), default=DEFAULT_NODE_CAP,
+        "--node-cap", type=_at_least(int, 1), default=DEFAULT_NODE_CAP,
         help="branch-and-bound node cap per direction (default %(default)s)",
     )
     p.set_defaults(func=cmd_entail)
@@ -476,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle")  # hidden from help on purpose: audit tool
     common(p)
     p.add_argument("--method", choices=["grid", "vertex"], default="vertex")
-    p.add_argument("--step", default="1/200", help="grid resolution")
+    p.add_argument(
+        "--step", type=_at_least(Fraction, 0), default="1/200", help="grid resolution"
+    )
     p.set_defaults(func=cmd_oracle)
 
     return parser

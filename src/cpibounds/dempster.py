@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .entailment import entail_unconditional
 from .errors import FrameMappingError, TotalConflictError
 from .kb import KnowledgeBase
 from .sentences import Atom, Sentence, WorldSpace, disjunction, extension
@@ -297,10 +298,12 @@ def envelope_from_entailment(
     ``mapping`` assigns each frame singleton a sentence; the background
     theory must make those sentences mutually exclusive and exhaustive,
     which is checked rather than assumed.  Complementary subsets share
-    one min/max LP pair, since lower(~A) = 1 - max P(A) exactly.
+    one min/max LP pair, since lower(~A) = 1 - max P(A) exactly, and
+    lower(empty) = 0 and lower(frame) = 1 hold by definition, so a
+    k-element frame costs 2^k - 2 LPs.  Infeasible axioms raise
+    InfeasibleError from the first LP; a one-element frame solves none,
+    so check :func:`cpibounds.entailment.feasible` first.
     """
-    from .entailment import entail_unconditional
-
     mapping = dict(mapping)
     frame = Frame(tuple(mapping.keys()))
     sentences = [mapping[name] for name in frame.elements]
@@ -318,7 +321,7 @@ def envelope_from_entailment(
         raise FrameMappingError(
             "frame singletons are not exhaustive under the background"
         )
-    lower: dict[int, Fraction] = {}
+    lower: dict[int, Fraction] = {0: ZERO, frame.full_mask: ONE}
     for mask in frame.subsets():
         if mask in lower:
             continue

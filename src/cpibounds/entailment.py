@@ -90,26 +90,19 @@ def _feasibility(rows, n: int) -> LpResult:
 def feasible(kb: KnowledgeBase, ws: WorldSpace) -> bool:
     """True iff some distribution over ws satisfies every linearized axiom.
 
-    Assumptions are not consulted here; the augmented feasibility check
-    lives with the branch-and-bound machinery.
+    Assumptions are not consulted: their root McCormick relaxation is
+    feasible exactly when the axioms are (set each product column to the
+    probability of the conjunction of its factors), so only the
+    branch-and-bound search can find them inconsistent with the axioms.
     """
     return _feasibility(kb_rows(kb, ws), len(ws)).status == "optimal"
 
 
 def feasible_subset(kb: KnowledgeBase, ws: WorldSpace, axiom_indices) -> bool:
-    """Feasibility with only the selected axioms active (assumptions fixed).
-
-    With assumptions present this tests the root McCormick relaxation,
-    which can only err on the side of calling an infeasible system
-    feasible, so a True here is conservative.
-    """
+    """:func:`feasible` with only the selected axioms active."""
     rows = []
     for i in axiom_indices:
         rows.extend(linearize(kb.axioms[i], ws))
-    if kb.assumptions:
-        from .assumptions import relaxation_feasible
-
-        return relaxation_feasible(rows, kb.assumptions, ws)
     return _feasibility(rows, len(ws)).status == "optimal"
 
 

@@ -53,6 +53,7 @@ from .sentences import (
     conjunction,
     extension,
     parse_sentence,
+    to_text,
 )
 
 ZERO = Fraction(0)
@@ -119,8 +120,6 @@ def p_term_text(target: Sentence, given: Sentence = TRUE) -> str:
     or one nested under ``->`` or ``<->``) is parenthesized, since the
     first unnested ``|`` inside P(...) is the conditioning separator.
     """
-    from .sentences import to_text
-
     target_text = to_text(target)
     if len(_split_top_level(target_text, "|")) > 1:
         target_text = f"({target_text})"
@@ -259,20 +258,25 @@ def diagnose_inconsistency(kb: KnowledgeBase, ws: WorldSpace) -> list[int]:
 
     The returned subset is infeasible yet becomes feasible after removing
     any single member; it is minimal in that sense, not of minimum
-    cardinality.  Assumptions are held fixed: when present, feasibility is
-    judged by the root relaxation of the augmented system, which can only
-    declare infeasibility soundly.
+    cardinality.  Only the linear axioms are judged, as by
+    :func:`cpibounds.entailment.feasible`; assumptions play no part.
+
+    The trials come first: once one of them drops an axiom, the full set
+    is known to be infeasible.  Only when none does is the full set
+    solved, to tell "every axiom" from NotInfeasibleError.  So m axioms
+    cost m LPs on an infeasible system, or m + 1 when every axiom is
+    needed or the system is feasible (the error path).
     """
     from .entailment import feasible_subset
 
     indices = list(range(len(kb.axioms)))
-    if feasible_subset(kb, ws, indices):
-        raise NotInfeasibleError("axiom system is feasible; nothing to diagnose")
     kept = list(indices)
     for idx in indices:
         trial = [i for i in kept if i != idx]
         if not feasible_subset(kb, ws, trial):
             kept = trial
+    if kept == indices and feasible_subset(kb, ws, indices):
+        raise NotInfeasibleError("axiom system is feasible; nothing to diagnose")
     return kept
 
 

@@ -205,7 +205,6 @@ def solve_maxent(
     kb: KnowledgeBase,
     ws: WorldSpace,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MaxEntSolution:
     """Maximize -sum x ln x over the axiom-feasible distributions.
 
@@ -229,7 +228,7 @@ def solve_maxent(
         return x, eq_vals, in_vals, _residual(eq_vals, in_vals, nu)
 
     x, eq_vals, in_vals, residual = state(mu, nu)
-    while residual >= tol and iterations < max_iter:
+    while residual >= tol and iterations < DEFAULT_MAX_ITER:
         if iterations % _POLISH_EVERY == _POLISH_EVERY - 1:
             act_eps = max(10 * tol, min(1e-5, residual))
             cand_mu, cand_nu = _newton_polish(eq, ineq, mu, nu, tol, act_eps)
@@ -277,14 +276,8 @@ def classify(interval: ProbabilityInterval) -> str:
     return PARTIAL
 
 
-def precision_report(
-    kb: KnowledgeBase,
-    ws: WorldSpace,
-    queries=None,
-    tol: float = DEFAULT_TOL,
-    results=None,
-) -> PrecisionReport:
-    """Entailed interval versus maximum-entropy point value, per query.
+def precision_report(kb: KnowledgeBase, ws: WorldSpace, results=None) -> PrecisionReport:
+    """Entailed interval versus maximum-entropy point value, per KB query.
 
     Classifies each query by what the axioms alone determine: a
     degenerate interval was pinned by the axioms, a vacuous one left
@@ -294,12 +287,11 @@ def precision_report(
     yields no point value.  ``results`` may pass the queries'
     plain-entailment QueryResults, in order, when already computed.
     """
-    queries = list(queries) if queries is not None else list(kb.queries)
-    solution = solve_maxent(kb, ws, tol=tol)
+    solution = solve_maxent(kb, ws)
     if results is None:
-        results = [entail_conditional(kb, ws, t, g) for t, g in queries]
+        results = [entail_conditional(kb, ws, t, g) for t, g in kb.queries]
     entries = []
-    for (target, given), result in zip(queries, results):
+    for (target, given), result in zip(kb.queries, results):
         numer = solution.probability(extension(conjunction(target, given), ws))
         denom = solution.probability(extension(given, ws))
         value = numer / denom if denom > 0 else None

@@ -186,7 +186,6 @@ def propagate_fixpoint(
     kb: KnowledgeBase,
     rules: RuleSet,
     tracked,
-    sweep_cap: int = DEFAULT_SWEEP_CAP,
     order_seed: int | None = None,
 ) -> tuple[BoundsTable, int]:
     """Run the enabled rules to a fixpoint; returns (table, sweeps used).
@@ -227,7 +226,7 @@ def propagate_fixpoint(
         random.Random(order_seed).shuffle(apps)
 
     sweeps = 0
-    while sweeps < sweep_cap:
+    while sweeps < DEFAULT_SWEEP_CAP:
         sweeps += 1
         changed = False
         for rule, *operands in apps:

@@ -258,12 +258,23 @@ def parse_sentence(text: str) -> Sentence:
 
 # --- printing --------------------------------------------------------------
 
-def _needs_parens(child: Sentence, tighter_than: tuple[type, ...]) -> bool:
-    return isinstance(child, tighter_than)
+# how tightly each connective binds; atoms and constants bind tightest
+_PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4}
+
+
+def _slot(child: Sentence, limit: int) -> str:
+    """A child's text, parenthesized unless it binds tighter than ``limit``."""
+    text = to_text(child)
+    return f"({text})" if _PRECEDENCE.get(type(child), 5) <= limit else text
 
 
 def to_text(s: Sentence) -> str:
-    """Render a sentence so that re-parsing yields the identical AST."""
+    """Render a sentence so that re-parsing yields the identical AST.
+
+    Each slot's limit is its connective's precedence, one lower on the
+    right of ``->`` (which groups right), the left of ``<->`` (which
+    folds left) and under ``!``.
+    """
     if isinstance(s, TrueConst):
         return "true"
     if isinstance(s, FalseConst):
@@ -271,41 +282,15 @@ def to_text(s: Sentence) -> str:
     if isinstance(s, Atom):
         return s.name
     if isinstance(s, Not):
-        inner = to_text(s.child)
-        if _needs_parens(s.child, (And, Or, Implies, Iff)):
-            inner = f"({inner})"
-        return f"!{inner}"
+        return "!" + _slot(s.child, 3)
     if isinstance(s, And):
-        parts = []
-        for c in s.children:
-            text = to_text(c)
-            if _needs_parens(c, (And, Or, Implies, Iff)):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
+        return " & ".join(_slot(c, 3) for c in s.children)
     if isinstance(s, Or):
-        parts = []
-        for c in s.children:
-            text = to_text(c)
-            if _needs_parens(c, (Or, Implies, Iff)):
-                text = f"({text})"
-            parts.append(text)
-        return " | ".join(parts)
+        return " | ".join(_slot(c, 2) for c in s.children)
     if isinstance(s, Implies):
-        left = to_text(s.left)
-        if _needs_parens(s.left, (Implies, Iff)):
-            left = f"({left})"
-        right = to_text(s.right)
-        if _needs_parens(s.right, (Iff,)):
-            right = f"({right})"
-        return f"{left} -> {right}"
+        return f"{_slot(s.left, 1)} -> {_slot(s.right, 0)}"
     if isinstance(s, Iff):
-        # <-> folds left, so only a nested Iff on the right needs parens
-        left = to_text(s.left)
-        right = to_text(s.right)
-        if isinstance(s.right, Iff):
-            right = f"({right})"
-        return f"{left} <-> {right}"
+        return f"{_slot(s.left, -1)} <-> {_slot(s.right, 0)}"
     raise TypeError(f"not a sentence node: {s!r}")
 
 

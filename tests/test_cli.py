@@ -145,6 +145,22 @@ class TestEntail:
         assert exc.value.code == 1
         assert "must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("entail", "--tolerance=1/0"),
+            ("entail", "--tolerance=abc"),
+            ("entail", "--tolerance=-1/10"),  # "=" keeps argparse from reading a flag
+            ("oracle", "--step=1/0"),
+        ],
+    )
+    def test_bad_rational_flag_is_usage_error(self, capsys, kb_file, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, kb_file(BASIC), flag])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+
     def test_branch_and_bound_reports_pivots(self, capsys, kb_file):
         code, out, _ = run(capsys, "entail", kb_file(AUGMENTED), "--json")
         assert code == 0

@@ -12,7 +12,9 @@ import pytest
 
 from cpibounds import (
     build_world_space,
+    diagnose_inconsistency,
     disjunction,
+    entail_augmented,
     entail_conditional,
     entail_unconditional,
     envelope_from_entailment,
@@ -50,6 +52,9 @@ INCONSISTENT = "atom A B\nP(A) = 0.3\nP(A & B) = 0.4\nquery P(B)\n"
 
 AUGMENTED = "atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)\nquery P(A & B)\n"
 
+# infeasible through axioms 1 and 2 alone; the deletion filter drops axiom 3
+THREE_AXIOMS = "atom A B\n0.6 <= P(A)\nP(A) <= 0.4\n0.1 <= P(B)\n"
+
 
 @pytest.fixture
 def lp_calls(monkeypatch):
@@ -86,12 +91,46 @@ def test_envelope_runs_one_lp_pair_per_complementary_pair(lp_calls):
     ws = build_world_space(kb.atoms, kb.background)
     mapping = frame_mapping_from_kb(kb)
     envelope = envelope_from_entailment(kb, ws, mapping)
-    assert len(lp_calls) == 2 ** len(mapping)
+    assert len(lp_calls) == 2 ** len(mapping) - 2
     sentences = list(mapping.values())
     for mask in envelope.frame.subsets():
         members = [s for i, s in enumerate(sentences) if mask >> i & 1]
         expected = entail_unconditional(kb, ws, disjunction(*members))
         assert envelope.lower(mask) == expected.interval.lower
+
+
+def test_check_diagnosis_runs_one_lp_per_axiom(lp_calls, tmp_path, capsys):
+    path = tmp_path / "three.kb"
+    path.write_text(THREE_AXIOMS)
+    assert main(["check", str(path)]) == 2
+    assert "axiom 1, axiom 2" in capsys.readouterr().out
+    # the gate, then one trial per axiom; the full set is never re-solved
+    assert len(lp_calls) == 1 + 3
+
+
+def test_diagnosis_lps_have_no_assumption_columns(tmp_path, monkeypatch):
+    widths = []
+
+    def counted(num_vars, rows, objective, sense="min"):
+        widths.append(num_vars)
+        return solve_lp(num_vars, rows, objective, sense)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpibounds.") and getattr(module, "solve_lp", None) is solve_lp:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    kb = parse_kb(THREE_AXIOMS + "assume indep(A, B)\n")
+    ws = build_world_space(kb.atoms)
+    assert diagnose_inconsistency(kb, ws) == [0, 1]
+    # world weights and the homogenizing scale, nothing for the assumption
+    assert widths and set(widths) == {len(ws) + 1}
+
+
+def test_branch_and_bound_boxes_only_product_factors(lp_calls):
+    kb = parse_kb(AUGMENTED)
+    ws = build_world_space(kb.atoms)
+    res = entail_augmented(kb, ws, parse_sentence("A & B"))
+    # one min/max box pair each for P(A) and P(B), none for the bare P(A & B)
+    assert len(lp_calls) == 4 + res.nodes
 
 
 def test_entail_maxent_solves_each_query_once(lp_calls, tmp_path, capsys):
