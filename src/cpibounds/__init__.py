@@ -70,13 +70,11 @@ from .entailment import (
     feasible,
 )
 from .assumptions import (
-    AugmentedResult,
     encode_assumption,
     entail_augmented,
     mccormick_envelopes,
 )
 from .dempster import (
-    BeliefFunction,
     Frame,
     LowerEnvelope,
     MassFunction,

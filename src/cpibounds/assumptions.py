@@ -164,13 +164,6 @@ def envelope_range(cuts, u_value, v_value) -> ProbabilityInterval:
     return ProbabilityInterval(lo, hi)
 
 
-@dataclass(frozen=True)
-class AugmentedResult:
-    result: QueryResult
-    convergence: str  # "converged" | "outer_bound"
-    nodes: int
-
-
 class _AugmentedProblem:
     """Static data for one augmented query; node LPs are built per box set."""
 
@@ -374,7 +367,7 @@ def entail_augmented(
     given: Sentence = TRUE,
     tolerance: Fraction = DEFAULT_TOLERANCE,
     node_cap: int = DEFAULT_NODE_CAP,
-) -> AugmentedResult:
+) -> QueryResult:
     """Outer bounds on P(target | given) under axioms plus assumptions.
 
     The interval always contains the true augmented-entailment interval.
@@ -383,7 +376,7 @@ def entail_augmented(
     exactly plain conditional entailment.
     """
     if not kb.assumptions:
-        return AugmentedResult(entail_conditional(kb, ws, target, given), "converged", 0)
+        return entail_conditional(kb, ws, target, given)
     tolerance = Fraction(tolerance)
     rows = kb_rows(kb, ws)
     problem = _AugmentedProblem(rows, kb.assumptions, ws, target, given)
@@ -414,11 +407,7 @@ def entail_augmented(
                 "assumptions are inconsistent with the axioms"
             )
         if lp.value == ZERO:
-            return AugmentedResult(
-                QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False),
-                "converged",
-                0,
-            )
+            return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False)
 
     lo, lo_conv, lo_nodes, lo_inc = _bb_run(problem, root_boxes, "min", tolerance, node_cap)
     hi, hi_conv, hi_nodes, hi_inc = _bb_run(problem, root_boxes, "max", tolerance, node_cap)
@@ -427,23 +416,18 @@ def entail_augmented(
         # no exactly-feasible point with positive antecedent mass was found,
         # so the conditional could still be undefined everywhere: widen to
         # the only interval that is safe in that case
-        return AugmentedResult(
-            QueryResult(DETERMINED, ProbabilityInterval.vacuous(), False, False),
-            "outer_bound",
-            nodes,
+        return QueryResult(
+            DETERMINED, ProbabilityInterval.vacuous(), False, False, "outer_bound", nodes
         )
     if lo > hi:
         raise InfeasibleAugmentedError(
             "directional bounds crossed: the augmented system has no solution"
         )
-    converged = lo_conv and hi_conv
-    return AugmentedResult(
-        QueryResult(
-            DETERMINED,
-            ProbabilityInterval(lo, hi),
-            lower_attained=lo_inc is not None and lo_inc == lo,
-            upper_attained=hi_inc is not None and hi_inc == hi,
-        ),
-        "converged" if converged else "outer_bound",
-        nodes,
+    return QueryResult(
+        DETERMINED,
+        ProbabilityInterval(lo, hi),
+        lower_attained=lo_inc is not None and lo_inc == lo,
+        upper_attained=hi_inc is not None and hi_inc == hi,
+        convergence="converged" if lo_conv and hi_conv else "outer_bound",
+        nodes=nodes,
     )

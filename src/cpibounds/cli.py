@@ -25,14 +25,9 @@ import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-from .assumptions import (
-    DEFAULT_NODE_CAP,
-    DEFAULT_TOLERANCE,
-    AugmentedResult,
-    entail_augmented,
-)
+from .assumptions import DEFAULT_NODE_CAP, DEFAULT_TOLERANCE, entail_augmented
 from .dempster import (
-    dempster_combine,
+    combine_evidence,
     envelope_from_entailment,
     frame_mapping_from_kb,
     mass_from_bel,
@@ -40,7 +35,7 @@ from .dempster import (
     MassFunction,
     NotRepresentable,
 )
-from .entailment import entail_conditional, feasible
+from .entailment import QueryResult, entail_conditional, feasible
 from .errors import (
     CpiboundsError,
     InfeasibleAugmentedError,
@@ -160,18 +155,19 @@ def _print_diagnosis(exc: _Inconsistent, as_json: bool, stats) -> None:
         print(f"  axiom {i}: {exc.kb.axioms[i - 1]}")
 
 
-def _solve_query(kb, ws, target, given, args) -> AugmentedResult:
+def _solve_query(kb, ws, target, given, args) -> QueryResult:
+    # entail_augmented would delegate too, but perfbench counts each call as a B&B search
     if kb.assumptions:
         return entail_augmented(
             kb, ws, target, given,
             tolerance=args.tolerance,
             node_cap=args.node_cap,
         )
-    return AugmentedResult(entail_conditional(kb, ws, target, given), "converged", 0)
+    return entail_conditional(kb, ws, target, given)
 
 
-def _maxent_text(e) -> str:
-    value = "-" if e.maxent_value is None else f"{e.maxent_value:.6f}"
+def _maxent_text(e, places: int) -> str:
+    value = "-" if e.maxent_value is None else f"{e.maxent_value:.{places}f}"
     return f"maxent={value} [{e.classification}]"
 
 
@@ -183,13 +179,12 @@ def cmd_entail(args, stats) -> int:
     maxent = [None] * len(queries)
     if args.maxent and queries:
         # B&B intervals are not the axioms-only ones the report classifies
-        results = None if kb.assumptions else [s.result for s in solved]
+        results = None if kb.assumptions else solved
         maxent = precision_report(kb, ws, results=results).entries
 
-    total_nodes = sum(s.nodes for s in solved)
+    total_nodes = sum(result.nodes for result in solved)
     entries = []
-    for (target, given), s, e in zip(queries, solved, maxent):
-        result = s.result
+    for (target, given), result, e in zip(queries, solved, maxent):
         if args.json:
             extra = {
                 "lower_attained": result.lower_attained,
@@ -205,11 +200,11 @@ def cmd_entail(args, stats) -> int:
         if result.status != "determined":
             extras.append(f"status={result.status}")
         if kb.assumptions:
-            extras.append(f"nodes={s.nodes}")
-            if s.convergence != "converged":
+            extras.append(f"nodes={result.nodes}")
+            if result.convergence != "converged":
                 extras.append("outer-bound")
         if e is not None:
-            extras.append(_maxent_text(e))
+            extras.append(_maxent_text(e, args.places))
         line = _interval_line(target, given, result.interval, args.places)
         print(line + "  " + " ".join(extras))
     if args.json:
@@ -302,9 +297,10 @@ def cmd_maxent(args, stats) -> int:
         return EXIT_OK
     for e in report.entries:
         line = _interval_line(e.target, e.given, e.interval, args.places)
-        print(line + "  " + _maxent_text(e))
+        print(line + "  " + _maxent_text(e, args.places))
     print(
-        f"entropy={solution.entropy:.6f} kkt_residual={solution.kkt_residual:.2e}"
+        f"entropy={solution.entropy:.{args.places}f}"
+        f" kkt_residual={solution.kkt_residual:.2e}"
         f" iterations={solution.iterations} converged={solution.converged}"
     )
     return EXIT_OK
@@ -327,12 +323,7 @@ def cmd_ds(args, stats) -> int:
         if missing:
             print(f"unknown mass sources: {missing}", file=sys.stderr)
             return EXIT_USAGE
-        masses = [sources[name] for name in chosen]
-        conflicts = []
-        combined = masses[0]
-        for m in masses[1:]:
-            combined, kappa = dempster_combine(combined, m)
-            conflicts.append(kappa)
+        combined, conflicts = combine_evidence(sources[name] for name in chosen)
         if args.json:
             doc = {"frame": list(combined.frame.elements), "mass": _mass_json(combined)}
             _emit_json({**doc, "conflict": [rational_json(k) for k in conflicts]})
@@ -342,6 +333,9 @@ def cmd_ds(args, stats) -> int:
             print(f"conflict: {rendered}")
         return EXIT_OK
 
+    if args.sources:
+        print(f"ds {args.action} takes no mass sources, got {args.sources}", file=sys.stderr)
+        return EXIT_USAGE
     kb, ws = _open(args, gate=False)
     mapping = frame_mapping_from_kb(kb)  # no frame is a usage error, consistent or not
     _require_feasible(kb, ws)

@@ -132,45 +132,17 @@ class MassFunction:
         return f"MassFunction({parts})"
 
 
-def _zeta(table: list[Fraction], size: int) -> None:
-    """In-place subset-sum transform: table[A] <- sum_{B subseteq A} table[B]."""
+def _subset_sums(table: list[Fraction], size: int, sign: int) -> None:
+    """In place, table[A] <- sum over B subseteq A of sign^|A - B| * table[B].
+
+    Sign +1 is the zeta transform (masses to beliefs); sign -1 is its
+    inverse, Moebius inversion (beliefs to masses).
+    """
     for i in range(size):
         bit = 1 << i
         for mask in range(1 << size):
             if mask & bit:
-                table[mask] += table[mask ^ bit]
-
-
-def _moebius(table: list[Fraction], size: int) -> None:
-    """In-place inverse of the subset-sum transform."""
-    for i in range(size):
-        bit = 1 << i
-        for mask in range(1 << size):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
-
-
-@dataclass(frozen=True)
-class BeliefFunction:
-    """Full bel table of a mass function: bel(A) = sum of masses inside A."""
-
-    frame: Frame
-    table: tuple[Fraction, ...]
-
-    def bel(self, mask: int) -> Fraction:
-        return self.table[mask]
-
-    def pl(self, mask: int) -> Fraction:
-        return ONE - self.table[self.frame.full_mask & ~mask]
-
-
-def bel_from_mass(m: MassFunction) -> BeliefFunction:
-    size = m.frame.size
-    table = [ZERO] * (1 << size)
-    for mask, value in m.focal():
-        table[mask] += value
-    _zeta(table, size)
-    return BeliefFunction(m.frame, tuple(table))
+                table[mask] += sign * table[mask ^ bit]
 
 
 @dataclass(frozen=True)
@@ -209,6 +181,16 @@ class LowerEnvelope:
         return ONE - self.table[self.frame.full_mask & ~mask]
 
 
+def bel_from_mass(m: MassFunction) -> LowerEnvelope:
+    """The belief function of m: lower(A) = sum of the masses inside A."""
+    size = m.frame.size
+    table = [ZERO] * (1 << size)
+    for mask, value in m.focal():
+        table[mask] += value
+    _subset_sums(table, size, 1)
+    return LowerEnvelope(m.frame, tuple(table))
+
+
 @dataclass(frozen=True)
 class NotRepresentable:
     """Witness that an envelope is not a belief function."""
@@ -226,16 +208,16 @@ class NotRepresentable:
         return f"not representable: m({{{names}}}) = {self.mass}"
 
 
-def mass_from_bel(source):
-    """Moebius-invert a lower envelope or belief function back to masses.
+def mass_from_bel(envelope: LowerEnvelope):
+    """Moebius-invert a lower envelope back to masses.
 
-    Returns the MassFunction when every inverted mass is nonnegative,
-    otherwise a NotRepresentable witness carrying the most negative
-    computed mass.
+    Returns the MassFunction when every inverted mass is nonnegative, so
+    the envelope is a belief function, otherwise a NotRepresentable
+    witness carrying the most negative computed mass.
     """
-    frame = source.frame
-    table = [source.table[mask] for mask in frame.subsets()]
-    _moebius(table, frame.size)
+    frame = envelope.frame
+    table = list(envelope.table)
+    _subset_sums(table, frame.size, -1)
     worst_mask = None
     for mask, value in enumerate(table):
         if value < ZERO and (worst_mask is None or value < table[worst_mask]):
@@ -270,24 +252,24 @@ def dempster_combine(
     return MassFunction(m1.frame, {m: v / norm for m, v in raw.items()}), conflict
 
 
-def combine_evidence(sources) -> MassFunction:
-    """Left fold of Dempster's rule; the result is order-independent.
+def combine_evidence(sources) -> tuple[MassFunction, list[Fraction]]:
+    """Left fold of Dempster's rule; returns (combined, conflict per step).
 
-    A TotalConflictError names the first source whose combination hit
-    total conflict.
+    The combined mass is order-independent; the conflicts are those of
+    each step of the fold, in order.  A TotalConflictError names the
+    first source whose combination hit total conflict.
     """
     sources = list(sources)
     if not sources:
         raise ValueError("no evidence sources given")
-    combined = sources[0]
+    combined, conflicts = sources[0], []
     for k, m in enumerate(sources[1:], start=2):
         try:
-            combined, _ = dempster_combine(combined, m)
-        except TotalConflictError:
-            raise TotalConflictError(
-                f"total conflict when combining source {k} of {len(sources)}"
-            ) from None
-    return combined
+            combined, conflict = dempster_combine(combined, m)
+        except TotalConflictError as exc:
+            raise TotalConflictError(f"{exc} at source {k} of {len(sources)}") from None
+        conflicts.append(conflict)
+    return combined, conflicts
 
 
 def envelope_from_entailment(

@@ -47,13 +47,19 @@ class QueryResult:
     ``lower_attained``/``upper_attained`` record whether some admissible
     distribution realizes the endpoint; for exact LP answers they are
     always true, and the branch-and-bound layer reports false on outer
-    bounds it has not certified.
+    bounds it has not certified.  ``convergence`` is "converged" when the
+    interval is the exact answer (up to the branch-and-bound tolerance)
+    and "outer_bound" when the search stopped before closing its gap;
+    ``nodes`` counts the branch-and-bound node LPs behind it.  An exact LP
+    answer is "converged" after 0 nodes.
     """
 
     status: str
     interval: ProbabilityInterval | None
     lower_attained: bool = True
     upper_attained: bool = True
+    convergence: str = "converged"
+    nodes: int = 0
 
 
 def homogenized_rows(rows, n: int, given_ext) -> list:

@@ -255,7 +255,7 @@ def judge_soundness_completeness(propagated, entailed) -> JudgeReport:
     interval that fails to contain the entailed one is unsound.  The
     aggregate verdict is the worst per-sentence verdict.
     """
-    inferred = dict(propagated.items()) if isinstance(propagated, BoundsTable) else dict(propagated)
+    inferred = dict(propagated.items())
     entailed = dict(entailed)
     if set(inferred) != set(entailed):
         raise CoverageMismatchError(

@@ -265,8 +265,8 @@ def test_criterion_6_augmented_entailment():
     kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
     res = entail_augmented(kb, ws, target, tolerance=tolerance)
     assert res.nodes <= 100
-    assert abs(res.result.interval.lower - F(1, 5)) <= tolerance
-    assert abs(res.result.interval.upper - F(1, 5)) <= tolerance
+    assert abs(res.interval.lower - F(1, 5)) <= tolerance
+    assert abs(res.interval.upper - F(1, 5)) <= tolerance
     grid = grid_bounds(kb, ws, target, cfg=cfg)
     assert grid is not None
     assert abs(grid.lower - F(1, 5)) <= F(3, 100)
@@ -274,8 +274,8 @@ def test_criterion_6_augmented_entailment():
 
     kb2 = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume negcorr(A, B)")
     res2 = entail_augmented(kb2, ws, target, tolerance=tolerance)
-    assert abs(res2.result.interval.lower - F(0)) <= tolerance
-    assert abs(res2.result.interval.upper - F(1, 5)) <= tolerance
+    assert abs(res2.interval.lower - F(0)) <= tolerance
+    assert abs(res2.interval.upper - F(1, 5)) <= tolerance
     grid2 = grid_bounds(kb2, ws, target, cfg=cfg)
     assert grid2 is not None
     assert grid2.lower <= F(3, 100)

@@ -121,24 +121,24 @@ class TestAugmentedEntailment:
             target = random_sentence(rng, kb.atoms)
             aug = entail_augmented(kb, ws, target)
             plain = entail_conditional(kb, ws, target)
-            assert aug.result == plain and aug.nodes == 0
+            assert aug == plain and aug.nodes == 0
 
     def test_independence_pins_the_product(self):
         kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
         res = entail_augmented(kb, WS2, parse_sentence("A & B"))
-        assert res.result.interval == ProbabilityInterval.point(F(1, 5))
+        assert res.interval == ProbabilityInterval.point(F(1, 5))
         assert res.convergence == "converged" and res.nodes <= 100
 
     def test_negative_correlation_caps_at_product(self):
         kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume negcorr(A, B)")
         res = entail_augmented(kb, WS2, parse_sentence("A & B"))
-        assert res.result.interval == ProbabilityInterval(F(0), F(1, 5))
+        assert res.interval == ProbabilityInterval(F(0), F(1, 5))
         assert res.convergence == "converged"
 
     def test_positive_correlation_floors_at_product(self):
         kb = parse_kb("atom A B\nP(A) = 0.6\nP(B) = 0.5\nassume poscorr(A, B)")
         res = entail_augmented(kb, WS2, parse_sentence("A & B"))
-        assert res.result.interval == ProbabilityInterval(F(3, 10), F(1, 2))
+        assert res.interval == ProbabilityInterval(F(3, 10), F(1, 2))
 
     def test_inconsistent_assumption_detected(self):
         # independence forces p(A & B) = 0.2, the axiom forbids it
@@ -155,7 +155,7 @@ class TestAugmentedEntailment:
         res = entail_augmented(
             kb, WS2, parse_sentence("A & B"), tolerance=F(1, 10**4), node_cap=500
         )
-        interval = res.result.interval
+        interval = res.interval
         assert res.convergence == "converged"
         true_max = 0.3055728090000842
         assert interval.lower <= F(0)
@@ -176,7 +176,7 @@ class TestAugmentedEntailment:
             target = parse_sentence("A & B")
             outer = entail_augmented(
                 kb, WS2, target, tolerance=F(1, 10**6), node_cap=50
-            ).result.interval
+            ).interval
             grid = grid_bounds(kb, WS2, target, cfg=cfg)
             assert grid is not None
             # grid points satisfy the constraints only within the slack, so
@@ -208,13 +208,13 @@ class TestAugmentedEntailment:
                 )
             except InfeasibleAugmentedError:
                 continue
-            assert plain.contains_interval(aug.result.interval)
+            assert plain.contains_interval(aug.interval)
             checked += 1
 
     def test_vacuous_antecedent_with_assumptions(self):
         kb = parse_kb("atom A B\nP(B) = 0\nassume indep(A, B)")
         res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
-        assert res.result.status == "vacuous_by_zero_antecedent"
+        assert res.status == "vacuous_by_zero_antecedent"
 
     def test_bounds_tighten_monotonically_with_node_budget(self):
         kb = parse_kb("atom A B\nP((A | B)) = 0.8\nassume indep(A, B)")
@@ -223,7 +223,7 @@ class TestAugmentedEntailment:
         for cap in (1, 4, 16, 64):
             interval = entail_augmented(
                 kb, WS2, target, tolerance=F(0), node_cap=cap
-            ).result.interval
+            ).interval
             if previous is not None:
                 assert previous.contains_interval(interval)
             previous = interval
@@ -231,4 +231,4 @@ class TestAugmentedEntailment:
     def test_conditional_query_with_assumptions(self):
         kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
         res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
-        assert res.result.interval == ProbabilityInterval.point(F(1, 2))
+        assert res.interval == ProbabilityInterval.point(F(1, 2))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cpibounds import cli
 from cpibounds.cli import decimal_str, main
 
 F = Fraction
@@ -243,6 +244,16 @@ class TestMaxent:
         assert query["classification"] == "partially_determined"
         assert doc["kkt_residual"] < 1e-8
 
+    def test_places_reach_maxent_values(self, capsys, kb_file):
+        code, out, _ = run(capsys, "maxent", kb_file(BASIC), "--places", "2")
+        assert code == 0
+        assert "maxent=0.65 [" in out and "entropy=1.24 " in out
+        code, out, _ = run(
+            capsys, "entail", kb_file(BASIC), "--maxent", "--places", "2"
+        )
+        assert code == 0
+        assert "maxent=0.65 [" in out
+
     def test_json_iterations_are_not_sweeps(self, capsys, kb_file):
         code, out, _ = run(capsys, "maxent", kb_file(BASIC), "--json")
         doc = json.loads(out)
@@ -304,10 +315,22 @@ class TestDs:
             capsys, "ds", "combine", kb_file(MASSES), "cert_a", "cert_b"
         )
         assert code == 3
+        assert err == (
+            "total conflict: evidence is flatly contradictory (conflict = 1)"
+            " at source 2 of 2\n"
+        )
 
     def test_unknown_source(self, capsys, kb_file):
         code, _, err = run(capsys, "ds", "combine", kb_file(MASSES), "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("action", ["envelope", "representable"])
+    def test_sources_only_for_combine(self, capsys, kb_file, monkeypatch, action):
+        path = kb_file(COUNTEREXAMPLE)
+        monkeypatch.setattr(cli, "load_kb", lambda _: pytest.fail("KB was loaded"))
+        code, out, err = run(capsys, "ds", action, path, "bogus", "extra")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "'bogus', 'extra'" in err
 
 
 class TestOracleCommand:

@@ -6,14 +6,23 @@ from fractions import Fraction
 import pytest
 
 from cpibounds import (
+    TRUE,
     Atom,
+    CpiAxiom,
     KnowledgeBase,
+    LinearConstraint,
     OracleSizeError,
+    ProbabilityInterval,
     build_world_space,
+    conjunction,
+    entail_conditional,
     entail_unconditional,
+    extension,
+    linearize,
     parse_kb,
     parse_sentence,
 )
+from cpibounds import oracle
 from cpibounds.oracle import GridSearchConfig, grid_bounds, vertex_bounds
 from generators import random_feasible_kb, random_sentence
 
@@ -92,6 +101,57 @@ class TestOracleAgreement:
         for _ in range(40):
             kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
             target = random_sentence(rng, kb.atoms)
+            lp = entail_unconditional(kb, ws, target).interval
+            assert vertex_bounds(kb, ws, target) == lp
+
+    def test_vertex_equals_lp_on_conditional_queries(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            kb, ws = random_feasible_kb(rng, max_atoms=2, max_axioms=3)
+            target = random_sentence(rng, kb.atoms)
+            given = random_sentence(rng, kb.atoms, 1)
+            lp = entail_conditional(kb, ws, target, given)
+            if lp.status != "determined":
+                continue
+            assert vertex_bounds(kb, ws, target, given) == lp.interval
+
+    def test_vertex_handles_equality_rows(self, monkeypatch):
+        # linearize writes a point axiom as a >= and a <= row; here it is one
+        # = row, which the oracle offers as an optional active constraint and
+        # must still enforce at every candidate vertex
+        def rows_with_equalities(kb, ws):
+            rows = []
+            for ax in kb.axioms:
+                own = linearize(ax, ws)
+                if ax.bounds.lower == ax.bounds.upper:
+                    own = [LinearConstraint(own[0].coeffs, "=")]
+                rows.extend(own)
+            return rows
+
+        monkeypatch.setattr(oracle, "kb_rows", rows_with_equalities)
+        rng = random.Random(109)
+        atoms = ("A", "B", "C")
+        ws = build_world_space(atoms)
+        for _ in range(15):
+            weights = [rng.randint(1, 5) for _ in range(len(ws))]
+            planted = [F(w, sum(weights)) for w in weights]
+
+            def p(s):
+                return sum((planted[i] for i in extension(s, ws)), start=F(0))
+
+            axioms = []
+            for _ in range(rng.randint(1, 2)):
+                consequent = random_sentence(rng, atoms)
+                antecedent = random_sentence(rng, atoms, 1) if rng.random() < 0.4 else TRUE
+                if p(antecedent) == 0:  # unsatisfiable antecedent
+                    antecedent = TRUE
+                value = p(conjunction(consequent, antecedent)) / p(antecedent)
+                axioms.append(
+                    CpiAxiom(consequent, antecedent, ProbabilityInterval.point(value))
+                )
+            kb = KnowledgeBase(atoms=atoms, axioms=tuple(axioms))
+            assert any(r.rel == "=" for r in oracle.kb_rows(kb, ws))
+            target = random_sentence(rng, atoms)
             lp = entail_unconditional(kb, ws, target).interval
             assert vertex_bounds(kb, ws, target) == lp
 
