@@ -16,6 +16,19 @@ conditional is undefined on every admissible distribution and the result
 is the vacuous interval with status "vacuous_by_zero_antecedent".  The
 transformed program is then empty, and one feasibility LP tells this
 case apart from an axiom system that admits no distribution at all.
+
+Before building the homogenized program, worlds that every row, the
+target and the antecedent treat alike are merged into one column per
+class.  The merge is exact: summing the weights of each class maps the
+feasible set of the full program onto that of the merged one and keeps
+the objective, and any merged point spreads back over its class.  It
+also keeps every pivot.  Columns of one class stay equal in every
+tableau, so a later one never enters: Bland's rule takes the
+lowest-index column of the class first, and once that column is basic
+the others have reduced cost zero.  Numbering the classes by their
+lowest world therefore gives the merged LP the same pivots as the full
+one.  The branch-and-bound node LPs and the maximum-entropy support LP
+build their own programs and keep one column per world.
 """
 
 from __future__ import annotations
@@ -73,24 +86,60 @@ def homogenized_rows(rows, n: int, given_ext) -> list:
     return [*rows, ({i: ONE for i in given_ext}, "=", ONE), (scale, "=", ZERO)]
 
 
+def _merge_worlds(rows, n: int, exts) -> tuple[int, list, list]:
+    """One column per class of worlds that no row and no extension tell apart.
+
+    Returns the class count, ``rows`` over class columns and each of
+    ``exts`` as a set of classes.  The classes come from partition
+    refinement: every part is split by each row's coefficient, then by
+    membership in each extension.  They are numbered by their lowest
+    world, so Bland's rule meets the columns in the order it would have.
+    """
+    # a coefficient is keyed on its integer pair, which hashes far faster
+    # than a Fraction; a missing and a zero coefficient both key None
+    keys = [
+        {j: (c.numerator, c.denominator) for j, c in coeffs.items() if c}.get
+        for coeffs, _, _ in rows
+    ]
+    keys += [ext.__contains__ for ext in exts]
+    parts = [range(n)]
+    for key in keys:
+        split = []
+        for part in parts:
+            groups: dict = {}
+            for j in part:
+                groups.setdefault(key(j), []).append(j)
+            split.extend(groups.values())
+        parts = split
+    reps = sorted(part[0] for part in parts)
+    merged = [
+        ({c: coeffs[j] for c, j in enumerate(reps) if coeffs.get(j)}, rel, rhs)
+        for coeffs, rel, rhs in rows
+    ]
+    return len(reps), merged, [{c for c, j in enumerate(reps) if j in ext} for ext in exts]
+
+
 def probability_bounds(rows, n: int, target_ext, given_ext) -> tuple[LpResult, LpResult]:
     """Min and max of sum_{target_ext} y over the homogenized program.
 
     With ``target_ext`` the worlds of target & given, these are the
     extremes of P(target | given); both LPs are infeasible exactly when
     no admissible distribution gives the antecedent positive probability.
+    The LPs run over world classes, so ``x`` holds one weight per class.
     """
-    lp_rows = homogenized_rows(rows, n, given_ext)
+    k, rows, (target_ext, given_ext) = _merge_worlds(rows, n, (target_ext, given_ext))
+    lp_rows = homogenized_rows(rows, k, given_ext)
     objective = {i: ONE for i in target_ext}
     return (
-        solve_lp(n + 1, lp_rows, objective, "min"),
-        solve_lp(n + 1, lp_rows, objective, "max"),
+        solve_lp(k + 1, lp_rows, objective, "min"),
+        solve_lp(k + 1, lp_rows, objective, "max"),
     )
 
 
 def _feasibility(rows, n: int) -> LpResult:
     """Phase 1 of the homogenized program over every world (scale t = 1)."""
-    return solve_lp(n + 1, homogenized_rows(rows, n, range(n)), {}, "min")
+    k, rows, _ = _merge_worlds(rows, n, ())
+    return solve_lp(k + 1, homogenized_rows(rows, k, range(k)), {}, "min")
 
 
 def feasible(kb: KnowledgeBase, ws: WorldSpace) -> bool:

@@ -1,12 +1,15 @@
 """LP entailment: exactness, duality, and agreement with the oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cpibounds import (
+    And,
     Atom,
+    CpiAxiom,
     InfeasibleError,
     KnowledgeBase,
     Not,
@@ -20,8 +23,18 @@ from cpibounds import (
     parse_kb,
     parse_sentence,
 )
-from cpibounds.entailment import DETERMINED, VACUOUS
+from cpibounds.cli import main
+from cpibounds.entailment import (
+    DETERMINED,
+    VACUOUS,
+    _feasibility,
+    homogenized_rows,
+    probability_bounds,
+)
+from cpibounds.kb import kb_rows
 from cpibounds.oracle import vertex_bounds
+from cpibounds.sentences import conjunction, extension
+from cpibounds.simplex import solve_lp
 from generators import random_feasible_kb, random_kb, random_sentence
 
 F = Fraction
@@ -177,3 +190,66 @@ class TestProperties:
             given = random_sentence(rng, kb.atoms, 1)
             res = entail_conditional(kb, ws, target, given)
             assert 0 <= res.interval.lower <= res.interval.upper <= 1
+
+
+class TestMergedWorlds:
+    """Worlds that no row tells apart share one column; nothing else moves."""
+
+    def test_merged_program_runs_the_same_pivots(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for trial in range(60):
+            kb = random_kb(rng, max_atoms=4, max_axioms=5)
+            given = random_sentence(rng, kb.atoms, 1) if trial % 3 else TRUE
+            if trial % 10 == 0:
+                given = And((given, Not(given)))  # an antecedent with no world
+            elif trial % 10 == 5:
+                # an antecedent the axioms force to probability zero
+                zero = CpiAxiom(given, TRUE, ProbabilityInterval.point(0))
+                kb = KnowledgeBase(atoms=kb.atoms, axioms=(*kb.axioms, zero))
+            ws = build_world_space(kb.atoms)
+            n, rows = len(ws), kb_rows(kb, ws)
+            target_ext = extension(conjunction(random_sentence(rng, kb.atoms), given), ws)
+            given_ext = extension(given, ws)
+            full = homogenized_rows(rows, n, given_ext)
+            objective = {i: 1 for i in target_ext}
+            pairs = [
+                *zip(
+                    probability_bounds(rows, n, target_ext, given_ext),
+                    [solve_lp(n + 1, full, objective, sense) for sense in ("min", "max")],
+                ),
+                (
+                    _feasibility(rows, n),
+                    solve_lp(n + 1, homogenized_rows(rows, n, range(n)), {}, "min"),
+                ),
+            ]
+            for merged, unmerged in pairs:
+                assert (merged.status, merged.value, merged.pivots) == (
+                    unmerged.status, unmerged.value, unmerged.pivots
+                )
+            outcomes.add((pairs[2][0].status, pairs[0][0].status))
+        # infeasible axioms, a zero-mass antecedent and a determined query
+        assert outcomes >= {("infeasible", "infeasible"), ("optimal", "infeasible"),
+                            ("optimal", "optimal")}
+
+    def test_entail_lp_widths(self, tmp_path, monkeypatch, capsys):
+        widths = []
+
+        def counted(num_vars, rows, objective, sense="min"):
+            widths.append(num_vars)
+            return solve_lp(num_vars, rows, objective, sense)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cpibounds.") and getattr(module, "solve_lp", None) is solve_lp:
+                monkeypatch.setattr(module, "solve_lp", counted)
+        path = tmp_path / "wide.kb"
+        path.write_text(
+            "atom A B C D E F G H\nP(A) = 3/10\n0.2 <= P(B | C)\n"
+            "query P(A & B)\nquery P(A | D)\n"
+        )
+        assert main(["entail", str(path)]) == 0
+        assert "P(A & B): [0, 0.3]" in capsys.readouterr().out
+        # 256 worlds; the gate sees 6 classes (A by the 3 coefficients of
+        # the B | C row), P(A & B) splits A & !C by B, and P(A | D) splits
+        # every class by D; each LP adds the scale column
+        assert widths == [7, 8, 8, 13, 13]

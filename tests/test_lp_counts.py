@@ -121,8 +121,10 @@ def test_diagnosis_lps_have_no_assumption_columns(tmp_path, monkeypatch):
     kb = parse_kb(THREE_AXIOMS + "assume indep(A, B)\n")
     ws = build_world_space(kb.atoms)
     assert diagnose_inconsistency(kb, ws) == [0, 1]
-    # world weights and the homogenizing scale, nothing for the assumption
-    assert widths and set(widths) == {len(ws) + 1}
+    # merged world classes plus the scale, and still no assumption column;
+    # the first two trials keep the axiom on B and see all four worlds,
+    # the last drops it and sees only the two classes of A
+    assert widths == [5, 5, 3]
 
 
 def test_branch_and_bound_boxes_only_product_factors(lp_calls):
