@@ -46,6 +46,7 @@ from .sentences import (
     disjunction,
     evaluate,
     extension,
+    extension_mask,
     parse_sentence,
     to_text,
 )

@@ -36,6 +36,7 @@ from .kb import (
     PositiveCorrelation,
     ProbabilityInterval,
     kb_rows,
+    kb_sides,
 )
 from .entailment import (
     DETERMINED,
@@ -45,7 +46,7 @@ from .entailment import (
     homogenized_rows,
     probability_bounds,
 )
-from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension
+from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension, extension_mask
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -385,13 +386,14 @@ def entail_augmented(
     # any other aggregate keeps the unit box, which emits no row (its range
     # is already implied by the axiom rows of every node LP)
     factors = {k for product in problem.products for k in product}
+    sides = kb_sides(kb, ws)
     boxes = []
     for k, sentence in enumerate(problem.pool.sentences):
         if k not in factors:
             boxes.append(ProbabilityInterval.vacuous())
             continue
         lo_lp, hi_lp = probability_bounds(
-            rows, problem.n, extension(sentence, ws), range(problem.n)
+            sides, problem.n, extension_mask(sentence, ws), ws.full_mask
         )
         if lo_lp.status == "infeasible":
             raise InfeasibleAugmentedError("axiom system alone is already infeasible")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .entailment import entail_unconditional
 from .errors import FrameMappingError, TotalConflictError
 from .kb import KnowledgeBase
-from .sentences import Atom, Sentence, WorldSpace, disjunction, extension
+from .sentences import Atom, Sentence, WorldSpace, disjunction, extension_mask
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -289,17 +289,17 @@ def envelope_from_entailment(
     mapping = dict(mapping)
     frame = Frame(tuple(mapping.keys()))
     sentences = [mapping[name] for name in frame.elements]
-    covered: set[int] = set()
+    covered = 0
     for i, s in enumerate(sentences):
-        ext = extension(s, ws)
+        ext = extension_mask(s, ws)
         if not ext:
             raise FrameMappingError(f"singleton {frame.elements[i]!r} is unsatisfiable")
-        if covered & set(ext):
+        if covered & ext:
             raise FrameMappingError(
                 "frame singletons are not mutually exclusive under the background"
             )
-        covered |= set(ext)
-    if covered != set(range(len(ws))):
+        covered |= ext
+    if covered != ws.full_mask:
         raise FrameMappingError(
             "frame singletons are not exhaustive under the background"
         )

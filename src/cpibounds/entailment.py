@@ -17,18 +17,30 @@ is the vacuous interval with status "vacuous_by_zero_antecedent".  The
 transformed program is then empty, and one feasibility LP tells this
 case apart from an axiom system that admits no distribution at all.
 
-Before building the homogenized program, worlds that every row, the
-target and the antecedent treat alike are merged into one column per
-class.  The merge is exact: summing the weights of each class maps the
+The LPs run over world classes, not worlds.  An axiom side's row gives a
+world one of three coefficients, chosen by its membership in the side's
+two extensions (see :class:`cpibounds.kb.AxiomSide`), so the classes
+come straight from the extension bitmasks: the set of all worlds is
+split by every side's masks and by the target's and antecedent's
+(``p & m`` and ``p & ~m``), and no world is visited.  Membership alone
+can split more finely than the rows do: a side pinned to 0 or 1 gives
+two memberships the coefficient 0.  So one pass over the parts then
+merges those with equal coefficients, target and antecedent membership,
+which leaves exactly the classes of worlds that no row and neither
+extension tell apart.
+
+The merge is exact: summing the weights of each class maps the
 feasible set of the full program onto that of the merged one and keeps
 the objective, and any merged point spreads back over its class.  It
 also keeps every pivot.  Columns of one class stay equal in every
 tableau, so a later one never enters: Bland's rule takes the
 lowest-index column of the class first, and once that column is basic
 the others have reduced cost zero.  Numbering the classes by their
-lowest world therefore gives the merged LP the same pivots as the full
-one.  The branch-and-bound node LPs and the maximum-entropy support LP
-build their own programs and keep one column per world.
+lowest world (the lowest set bit of the class mask) therefore gives the
+merged LP the same pivots as the per-world one, and the merge pass
+keeps the LP widths those classes give.  The branch-and-bound node LPs
+and the maximum-entropy support LP build their own programs from
+:func:`cpibounds.kb.kb_rows` and keep one column per world.
 """
 
 from __future__ import annotations
@@ -40,10 +52,10 @@ from .errors import InfeasibleError
 from .kb import (
     KnowledgeBase,
     ProbabilityInterval,
-    kb_rows,
-    linearize,
+    axiom_sides,
+    kb_sides,
 )
-from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension
+from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension_mask
 from .simplex import LpResult, solve_lp
 
 ZERO = Fraction(0)
@@ -86,48 +98,55 @@ def homogenized_rows(rows, n: int, given_ext) -> list:
     return [*rows, ({i: ONE for i in given_ext}, "=", ONE), (scale, "=", ZERO)]
 
 
-def _merge_worlds(rows, n: int, exts) -> tuple[int, list, list]:
-    """One column per class of worlds that no row and no extension tell apart.
+def _class_program(sides, n: int, masks) -> tuple[int, list, list]:
+    """One column per class of worlds that no side and no mask tell apart.
 
-    Returns the class count, ``rows`` over class columns and each of
-    ``exts`` as a set of classes.  The classes come from partition
-    refinement: every part is split by each row's coefficient, then by
-    membership in each extension.  They are numbered by their lowest
-    world, so Bland's rule meets the columns in the order it would have.
+    ``sides`` are :class:`cpibounds.kb.AxiomSide` records over ``n``
+    worlds.  Returns the class count, one row per side over class
+    columns and each of ``masks`` as a set of classes.  The parts of the
+    world set are split by every mask, then merged on equal coefficients
+    and memberships, and the classes are numbered by their lowest world,
+    so Bland's rule meets the columns in the order it would have.
     """
-    # a coefficient is keyed on its integer pair, which hashes far faster
-    # than a Fraction; a missing and a zero coefficient both key None
-    keys = [
-        {j: (c.numerator, c.denominator) for j, c in coeffs.items() if c}.get
-        for coeffs, _, _ in rows
+    parts = [(1 << n) - 1]
+    for m in dict.fromkeys([*(m for side in sides for m in (side.both, side.ante)), *masks]):
+        parts = [q for p in parts for q in (p & m, p & ~m) if q]
+    # a part lies wholly inside or outside each mask, and its coefficient
+    # in a side's row is values[code]: code 2 inside ``both``, 1 inside
+    # ``ante`` alone, and 0 elsewhere or where that coefficient is zero (a
+    # side pinned to 0 or 1); parts with equal keys share a class
+    values = [(ZERO, -side.bound, ONE - side.bound) for side in sides]
+    codes = [(2 if value[2] else 0, 1 if value[1] else 0) for value in values]
+    classes: dict = {}
+    for p in parts:
+        key = (
+            *(in_both if p & side.both else in_ante if p & side.ante else 0
+              for side, (in_both, in_ante) in zip(sides, codes)),
+            *(bool(p & m) for m in masks),
+        )
+        classes[key] = classes.get(key, 0) | p
+    keys = [key for _, key in sorted((c & -c, key) for key, c in classes.items())]
+    rows = [
+        ({c: value[key[r]] for c, key in enumerate(keys) if key[r]}, side.rel, ZERO)
+        for r, (side, value) in enumerate(zip(sides, values))
     ]
-    keys += [ext.__contains__ for ext in exts]
-    parts = [range(n)]
-    for key in keys:
-        split = []
-        for part in parts:
-            groups: dict = {}
-            for j in part:
-                groups.setdefault(key(j), []).append(j)
-            split.extend(groups.values())
-        parts = split
-    reps = sorted(part[0] for part in parts)
-    merged = [
-        ({c: coeffs[j] for c, j in enumerate(reps) if coeffs.get(j)}, rel, rhs)
-        for coeffs, rel, rhs in rows
+    sets = [
+        {c for c, key in enumerate(keys) if key[j]}
+        for j in range(len(sides), len(sides) + len(masks))
     ]
-    return len(reps), merged, [{c for c, j in enumerate(reps) if j in ext} for ext in exts]
+    return len(keys), rows, sets
 
 
-def probability_bounds(rows, n: int, target_ext, given_ext) -> tuple[LpResult, LpResult]:
-    """Min and max of sum_{target_ext} y over the homogenized program.
+def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult]:
+    """Min and max of the mass of ``target`` over the homogenized program.
 
-    With ``target_ext`` the worlds of target & given, these are the
-    extremes of P(target | given); both LPs are infeasible exactly when
-    no admissible distribution gives the antecedent positive probability.
-    The LPs run over world classes, so ``x`` holds one weight per class.
+    ``target`` and ``given`` are masks over the ``n`` worlds.  With
+    ``target`` the worlds of target & given, these are the extremes of
+    P(target | given); both LPs are infeasible exactly when no admissible
+    distribution gives the antecedent positive probability.  The LPs run
+    over world classes, so ``x`` holds one weight per class.
     """
-    k, rows, (target_ext, given_ext) = _merge_worlds(rows, n, (target_ext, given_ext))
+    k, rows, (target_ext, given_ext) = _class_program(sides, n, (target, given))
     lp_rows = homogenized_rows(rows, k, given_ext)
     objective = {i: ONE for i in target_ext}
     return (
@@ -136,9 +155,9 @@ def probability_bounds(rows, n: int, target_ext, given_ext) -> tuple[LpResult, L
     )
 
 
-def _feasibility(rows, n: int) -> LpResult:
+def _feasibility(sides, n: int) -> LpResult:
     """Phase 1 of the homogenized program over every world (scale t = 1)."""
-    k, rows, _ = _merge_worlds(rows, n, ())
+    k, rows, _ = _class_program(sides, n, ())
     return solve_lp(k + 1, homogenized_rows(rows, k, range(k)), {}, "min")
 
 
@@ -150,15 +169,13 @@ def feasible(kb: KnowledgeBase, ws: WorldSpace) -> bool:
     probability of the conjunction of its factors), so only the
     branch-and-bound search can find them inconsistent with the axioms.
     """
-    return _feasibility(kb_rows(kb, ws), len(ws)).status == "optimal"
+    return _feasibility(kb_sides(kb, ws), len(ws)).status == "optimal"
 
 
 def feasible_subset(kb: KnowledgeBase, ws: WorldSpace, axiom_indices) -> bool:
     """:func:`feasible` with only the selected axioms active."""
-    rows = []
-    for i in axiom_indices:
-        rows.extend(linearize(kb.axioms[i], ws))
-    return _feasibility(rows, len(ws)).status == "optimal"
+    sides = [side for i in axiom_indices for side in axiom_sides(kb.axioms[i], ws)]
+    return _feasibility(sides, len(ws)).status == "optimal"
 
 
 def entail_conditional(
@@ -168,15 +185,15 @@ def entail_conditional(
 
     Raises InfeasibleError when no distribution satisfies the axioms.
     """
-    rows = kb_rows(kb, ws)
+    sides = kb_sides(kb, ws)
     n = len(ws)
     low, high = probability_bounds(
-        rows, n, extension(conjunction(target, given), ws), extension(given, ws)
+        sides, n, extension_mask(conjunction(target, given), ws), extension_mask(given, ws)
     )
     if low.status == "infeasible":
         # either no admissible distribution exists, or every one of them
         # gives the antecedent probability zero
-        if _feasibility(rows, n).status == "infeasible":
+        if _feasibility(sides, n).status == "infeasible":
             raise InfeasibleError("axiom system admits no distribution")
         return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False)
     assert low.status == "optimal" and high.status == "optimal"

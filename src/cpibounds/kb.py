@@ -51,7 +51,8 @@ from .sentences import (
     WorldSpace,
     atom_names,
     conjunction,
-    extension,
+    extension_mask,
+    mask_indices,
     parse_sentence,
     to_text,
 )
@@ -222,27 +223,50 @@ class LinearConstraint(NamedTuple):
     rhs: Fraction = ZERO
 
 
+class AxiomSide(NamedTuple):
+    """One non-vacuous bound of an axiom, as the two extensions it rests on.
+
+    Its row is  (1 - bound) * sum_{both} x - bound * sum_{ante - both} x
+    ``rel`` 0, so a world's coefficient depends only on its membership in
+    the masks ``both`` (consequent & antecedent) and ``ante``.
+    """
+
+    both: int
+    ante: int
+    bound: Fraction
+    rel: str  # ">=" for a lower bound, "<=" for an upper bound
+
+
+def axiom_sides(axiom: CpiAxiom, ws: WorldSpace) -> list[AxiomSide]:
+    """The lower then the upper side of an axiom; the vacuous q=0 and r=1 emit nothing."""
+    both = extension_mask(conjunction(axiom.consequent, axiom.antecedent), ws)
+    ante = extension_mask(axiom.antecedent, ws)
+    return [
+        AxiomSide(both, ante, bound, rel)
+        for bound, rel, vacuous in (
+            (axiom.bounds.lower, ">=", ZERO),
+            (axiom.bounds.upper, "<=", ONE),
+        )
+        if bound != vacuous
+    ]
+
+
+def kb_sides(kb: KnowledgeBase, ws: WorldSpace) -> list[AxiomSide]:
+    """Every axiom's sides, in :func:`kb_rows` order."""
+    return [side for ax in kb.axioms for side in axiom_sides(ax, ws)]
+
+
 def linearize(axiom: CpiAxiom, ws: WorldSpace) -> list[LinearConstraint]:
     """Exact linear form of an interval axiom over world probabilities.
 
     q <= P(A|B) becomes  sum_{A&B} x - q * sum_B x >= 0  and the upper
     bound the mirror-image <=; the vacuous sides q=0 and r=1 emit nothing.
     """
-    both = extension(conjunction(axiom.consequent, axiom.antecedent), ws)
-    ante = extension(axiom.antecedent, ws)
     out = []
-    for bound, rel, vacuous in (
-        (axiom.bounds.lower, ">=", ZERO),
-        (axiom.bounds.upper, "<=", ONE),
-    ):
-        if bound == vacuous:
-            continue
-        coeffs: dict[int, Fraction] = {}
-        for i in both:
-            coeffs[i] = ONE - bound
-        for i in ante - both:
-            coeffs[i] = -bound
-        out.append(LinearConstraint(coeffs, rel))
+    for side in axiom_sides(axiom, ws):
+        coeffs: dict[int, Fraction] = dict.fromkeys(mask_indices(side.both), ONE - side.bound)
+        coeffs.update(dict.fromkeys(mask_indices(side.ante ^ side.both), -side.bound))
+        out.append(LinearConstraint(coeffs, side.rel))
     return out
 
 

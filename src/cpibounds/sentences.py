@@ -18,9 +18,18 @@ A world space is the full enumeration of truth assignments over a fixed
 atom list, filtered by a hard background theory.  Worlds are kept in
 lexicographic order on the atom-ordered boolean vector (false < true),
 so variable indices in downstream linear programs are deterministic.
+
+An extension is held as an int bitmask: bit ``i`` is set when the
+sentence holds in world ``i``, so the lexicographic world order is the
+bit order.  Each atom's mask is built by pattern arithmetic over the
+2^n assignments, the background keeps the assignments in the
+conjunction of its masks, and every other sentence is evaluated with
+``& | ^`` on masks, never world by world (Knuth, TAOCP 4A, 7.1.3, on
+truth tables as bit vectors).  :func:`extension` turns a mask into
+world indices; :func:`evaluate` still evaluates one world.
 Sentences are immutable and every operation is pure, but a world space
-memoizes extensions in a mutable per-instance cache (``_ext_cache``),
-so a world space is not safe to share across threads without a lock.
+memoizes masks in a mutable per-instance cache (``_ext_cache``), so a
+world space is not safe to share across threads without a lock.
 """
 
 from __future__ import annotations
@@ -336,7 +345,9 @@ class WorldSpace:
     """All truth assignments consistent with the background theory.
 
     Worlds are in lexicographic order of their boolean vectors, so index
-    ``i`` is stable across runs and usable as an LP variable index.
+    ``i`` is stable across runs and usable as an LP variable index; it is
+    also bit ``i`` of every extension mask.  The cache maps sentences to
+    masks and starts out holding each atom's.
     """
 
     atoms: tuple[str, ...]
@@ -349,9 +360,65 @@ class WorldSpace:
     def __len__(self) -> int:
         return len(self.worlds)
 
+    @property
+    def full_mask(self) -> int:
+        """The mask of every world."""
+        return (1 << len(self.worlds)) - 1
+
 
 def _atom_name(a) -> str:
     return a.name if isinstance(a, Atom) else str(a)
+
+
+def _assignment_masks(count: int) -> list[int]:
+    """Per atom, the mask of the assignments (in product order) that make it true.
+
+    Assignment ``a`` gives atom ``k`` the value of bit ``count - 1 - k`` of
+    ``a``, so atom ``k``'s mask repeats ``b`` zeros then ``b`` ones, with
+    ``b = 2^(count-1-k)``: one block times the sum of its shifts.
+    """
+    everything = (1 << (1 << count)) - 1
+    out = []
+    for k in range(count):
+        b = 1 << (count - 1 - k)
+        out.append((((1 << b) - 1) << b) * (everything // ((1 << 2 * b) - 1)))
+    return out
+
+
+def _mask(s: Sentence, cache: dict, full: int) -> int:
+    """The mask of ``s``; atoms are read from ``cache``, nothing is stored."""
+    if isinstance(s, Atom):
+        return cache[s]
+    if isinstance(s, TrueConst):
+        return full
+    if isinstance(s, FalseConst):
+        return 0
+    if isinstance(s, Not):
+        return full ^ _mask(s.child, cache, full)
+    if isinstance(s, And):
+        out = full
+        for c in s.children:
+            out &= _mask(c, cache, full)
+        return out
+    if isinstance(s, Or):
+        out = 0
+        for c in s.children:
+            out |= _mask(c, cache, full)
+        return out
+    if isinstance(s, Implies):
+        return (full ^ _mask(s.left, cache, full)) | _mask(s.right, cache, full)
+    if isinstance(s, Iff):
+        return full ^ _mask(s.left, cache, full) ^ _mask(s.right, cache, full)
+    raise TypeError(f"not a sentence node: {s!r}")
+
+
+# one byte per bit: 0 or 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int, size: int) -> bytes:
+    """Bits 0..size-1 of ``mask`` as ASCII digits, bit 0 first."""
+    return format(mask, f"0{size}b")[::-1].encode()
 
 
 def build_world_space(
@@ -383,24 +450,45 @@ def build_world_space(
             raise UnknownAtomError(
                 f"background sentence uses undeclared atoms {sorted(extra)}"
             )
-    worlds = []
-    for bits in itertools.product((False, True), repeat=len(names)):
-        w = World(names, bits)
-        if all(evaluate(s, w) for s in background):
-            worlds.append(w)
-    if not worlds:
+    size = 1 << len(names)
+    full = (1 << size) - 1
+    cache: dict = dict(zip(map(Atom, names), _assignment_masks(len(names))))
+    kept = full
+    for s in background:
+        kept &= _mask(s, cache, full)
+    if not kept:
         raise EmptyWorldSpaceError("background theory is unsatisfiable")
-    return WorldSpace(names, tuple(worlds), background)
+    values = itertools.product((False, True), repeat=len(names))
+    if kept != full:
+        # keep the surviving assignments, and pack each atom's mask onto them
+        flags = _bits(kept, size).translate(_BIT_BYTES)
+        values = itertools.compress(values, flags)
+        for a, m in cache.items():
+            cache[a] = int(bytes(itertools.compress(_bits(m, size), flags))[::-1], 2)
+    worlds = tuple(World(names, v) for v in values)
+    return WorldSpace(names, worlds, background, cache)
+
+
+def extension_mask(s: Sentence, ws: WorldSpace) -> int:
+    """The worlds where ``s`` holds, as a mask (cached per world space)."""
+    cache = ws._ext_cache
+    m = cache.get(s)
+    if m is None:
+        try:
+            m = cache[s] = _mask(s, cache, ws.full_mask)
+        except KeyError:
+            extra = atom_names(s) - set(ws.atoms)
+            raise UnknownAtomError(
+                f"sentence uses undeclared atoms {sorted(extra)}"
+            ) from None
+    return m
+
+
+def mask_indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
 def extension(s: Sentence, ws: WorldSpace) -> frozenset[int]:
-    """Indices of the worlds where ``s`` holds (cached per world space)."""
-    cached = ws._ext_cache.get(s)
-    if cached is not None:
-        return cached
-    extra = atom_names(s) - set(ws.atoms)
-    if extra:
-        raise UnknownAtomError(f"sentence uses undeclared atoms {sorted(extra)}")
-    ext = frozenset(i for i, w in enumerate(ws.worlds) if evaluate(s, w))
-    ws._ext_cache[s] = ext
-    return ext
+    """Indices of the worlds where ``s`` holds."""
+    return frozenset(mask_indices(extension_mask(s, ws)))

@@ -27,13 +27,15 @@ from cpibounds.cli import main
 from cpibounds.entailment import (
     DETERMINED,
     VACUOUS,
+    _class_program,
     _feasibility,
     homogenized_rows,
     probability_bounds,
 )
-from cpibounds.kb import kb_rows
+from cpibounds.errors import EmptyWorldSpaceError
+from cpibounds.kb import kb_rows, kb_sides
 from cpibounds.oracle import vertex_bounds
-from cpibounds.sentences import conjunction, extension
+from cpibounds.sentences import conjunction, extension, extension_mask
 from cpibounds.simplex import solve_lp
 from generators import random_feasible_kb, random_kb, random_sentence
 
@@ -196,9 +198,13 @@ class TestMergedWorlds:
     """Worlds that no row tells apart share one column; nothing else moves."""
 
     def test_merged_program_runs_the_same_pivots(self):
+        # the class LPs built from extension masks against the per-world
+        # program built from kb_rows: same status, value and pivots, and one
+        # column per distinct per-world coefficient vector and membership
         rng = random.Random(41)
         outcomes = set()
-        for trial in range(60):
+        finer = 0
+        for trial in range(80):
             kb = random_kb(rng, max_atoms=4, max_axioms=5)
             given = random_sentence(rng, kb.atoms, 1) if trial % 3 else TRUE
             if trial % 10 == 0:
@@ -207,19 +213,33 @@ class TestMergedWorlds:
                 # an antecedent the axioms force to probability zero
                 zero = CpiAxiom(given, TRUE, ProbabilityInterval.point(0))
                 kb = KnowledgeBase(atoms=kb.atoms, axioms=(*kb.axioms, zero))
-            ws = build_world_space(kb.atoms)
-            n, rows = len(ws), kb_rows(kb, ws)
-            target_ext = extension(conjunction(random_sentence(rng, kb.atoms), given), ws)
-            given_ext = extension(given, ws)
+            if trial % 4 == 1:
+                # sides pinned to 0 and to 1, whose rows give two
+                # memberships the same coefficient 0
+                extra = (
+                    CpiAxiom(random_sentence(rng, kb.atoms), TRUE, ProbabilityInterval.point(1)),
+                    CpiAxiom(random_sentence(rng, kb.atoms), random_sentence(rng, kb.atoms, 1),
+                             ProbabilityInterval(F(0), F(0))),
+                )
+                kb = KnowledgeBase(atoms=kb.atoms, axioms=(*kb.axioms, *extra))
+            background = (random_sentence(rng, kb.atoms),) if trial % 4 >= 2 else ()
+            try:
+                ws = build_world_space(kb.atoms, background)
+            except EmptyWorldSpaceError:
+                ws = build_world_space(kb.atoms)
+            n, rows, sides = len(ws), kb_rows(kb, ws), kb_sides(kb, ws)
+            target = conjunction(random_sentence(rng, kb.atoms), given)
+            target_ext, given_ext = extension(target, ws), extension(given, ws)
             full = homogenized_rows(rows, n, given_ext)
             objective = {i: 1 for i in target_ext}
+            masks = extension_mask(target, ws), extension_mask(given, ws)
             pairs = [
                 *zip(
-                    probability_bounds(rows, n, target_ext, given_ext),
+                    probability_bounds(sides, n, *masks),
                     [solve_lp(n + 1, full, objective, sense) for sense in ("min", "max")],
                 ),
                 (
-                    _feasibility(rows, n),
+                    _feasibility(sides, n),
                     solve_lp(n + 1, homogenized_rows(rows, n, range(n)), {}, "min"),
                 ),
             ]
@@ -227,10 +247,24 @@ class TestMergedWorlds:
                 assert (merged.status, merged.value, merged.pivots) == (
                     unmerged.status, unmerged.value, unmerged.pivots
                 )
-            outcomes.add((pairs[2][0].status, pairs[0][0].status))
-        # infeasible axioms, a zero-mass antecedent and a determined query
-        assert outcomes >= {("infeasible", "infeasible"), ("optimal", "infeasible"),
-                            ("optimal", "optimal")}
+            keys = {
+                (*(r.coeffs.get(j, 0) for r in rows), j in target_ext, j in given_ext)
+                for j in range(n)
+            }
+            width = _class_program(sides, n, masks)[0]
+            assert width == len(keys)
+            members = {
+                (*(m >> j & 1 for s in sides for m in (s.both, s.ante)),
+                 j in target_ext, j in given_ext)
+                for j in range(n)
+            }
+            finer += len(members) > width
+            outcomes.add((pairs[2][0].status, pairs[0][0].status, len(ws.background) > 0))
+        # infeasible axioms, a zero-mass antecedent and a determined query,
+        # with and without a background; membership split finer than the rows
+        assert outcomes >= {("infeasible", "infeasible", False), ("optimal", "infeasible", False),
+                            ("optimal", "optimal", False), ("optimal", "optimal", True)}
+        assert finer
 
     def test_entail_lp_widths(self, tmp_path, monkeypatch, capsys):
         widths = []

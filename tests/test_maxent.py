@@ -66,17 +66,17 @@ class TestSolveMaxent:
 
     def test_support_lp_matches_per_world_maxima(self):
         from cpibounds.entailment import probability_bounds
-        from cpibounds.kb import kb_rows
+        from cpibounds.kb import kb_rows, kb_sides
         from cpibounds.maxent import _support
 
         rng = random.Random(83)
         pruned = 0
         for _ in range(25):
             kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=4)
-            rows, n = kb_rows(kb, ws), len(ws)
+            rows, sides, n = kb_rows(kb, ws), kb_sides(kb, ws), len(ws)
             expected = [
                 i for i in range(n)
-                if probability_bounds(rows, n, [i], range(n))[1].value > 0
+                if probability_bounds(sides, n, 1 << i, ws.full_mask)[1].value > 0
             ]
             assert _support(rows, n) == expected
             pruned += len(expected) < n

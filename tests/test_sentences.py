@@ -1,5 +1,6 @@
 """Sentence parsing, evaluation, and world-space construction."""
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from cpibounds import (
     build_world_space,
     evaluate,
     extension,
+    extension_mask,
     parse_sentence,
     to_text,
 )
@@ -181,3 +183,72 @@ class TestExtension:
                 continue
             ws = build_world_space(["A", "B", "C"], background)
             assert list(ws.worlds) == expect
+
+
+def _random_sentence(rng, atoms, depth):
+    """A random sentence over every connective and both constants."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([*map(Atom, atoms), TRUE, FALSE])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(_random_sentence(rng, atoms, depth - 1))
+    if kind in (1, 2):
+        children = tuple(
+            _random_sentence(rng, atoms, depth - 1) for _ in range(rng.randint(2, 3))
+        )
+        return And(children) if kind == 1 else Or(children)
+    left = _random_sentence(rng, atoms, depth - 1)
+    right = _random_sentence(rng, atoms, depth - 1)
+    return Implies(left, right) if kind == 3 else Iff(left, right)
+
+
+class TestMasks:
+    """The bitmask evaluator against per-world :func:`evaluate`."""
+
+    def test_masks_match_evaluate(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(60):
+            atoms = ("A", "B", "C", "D", "E")[: rng.randint(1, 5)]
+            background = [_random_sentence(rng, atoms, 2) for _ in range(rng.randint(0, 2))]
+            expect = [
+                World(atoms, v)
+                for v in itertools.product((False, True), repeat=len(atoms))
+                if all(evaluate(t, World(atoms, v)) for t in background)
+            ]
+            if not expect:
+                with pytest.raises(EmptyWorldSpaceError):
+                    build_world_space(atoms, background)
+                continue
+            ws = build_world_space(atoms, background)
+            assert ws.worlds == tuple(expect)
+            assert ws.full_mask == (1 << len(expect)) - 1
+            for _ in range(8):
+                s = _random_sentence(rng, atoms, 3)
+                holds = [i for i, w in enumerate(ws.worlds) if evaluate(s, w)]
+                assert extension(s, ws) == frozenset(holds)
+                assert extension_mask(s, ws) == sum(1 << i for i in holds)
+                checked += 1
+        assert checked > 300
+
+    def test_wide_space_on_sampled_worlds(self):
+        atoms = [f"x{i}" for i in range(16)]
+        ws = build_world_space(atoms, [parse_sentence("(x0 -> x1) & !(x2 & x13)")])
+        # the background rules out 1/4 of the x0, x1 values and 1/4 of the x2, x13
+        assert len(ws) == 2**16 * 9 // 16
+        rng = random.Random(16)
+        sentences = [_random_sentence(rng, atoms, 4) for _ in range(10)]
+        masks = [extension_mask(s, ws) for s in sentences]
+        sample = sorted(rng.sample(range(len(ws)), 200))
+        for i, j in zip(sample, sample[1:]):
+            assert ws.worlds[i].values < ws.worlds[j].values
+        for i in sample:
+            w = ws.worlds[i]
+            assert evaluate(ws.background[0], w)
+            for s, m in zip(sentences, masks):
+                assert (m >> i & 1) == evaluate(s, w)
+
+    def test_unknown_atom_names_every_one(self):
+        ws = build_world_space(["A"])
+        with pytest.raises(UnknownAtomError, match=r"\['B', 'C'\]"):
+            extension_mask(Or((A, And((B, C)))), ws)
