@@ -35,18 +35,18 @@ from .kb import (
     NegativeCorrelation,
     PositiveCorrelation,
     ProbabilityInterval,
-    kb_rows,
     kb_sides,
 )
 from .entailment import (
     DETERMINED,
     VACUOUS,
     QueryResult,
+    _class_program,
     entail_conditional,
     homogenized_rows,
     probability_bounds,
 )
-from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension, extension_mask
+from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension_mask
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -79,8 +79,7 @@ class BilinearConstraint:
 class AggregatePool:
     """Interns aggregate sentences so ids are shared across assumptions."""
 
-    def __init__(self, ws: WorldSpace):
-        self.ws = ws
+    def __init__(self):
         self.sentences: list[Sentence] = []
         self._ids: dict[Sentence, int] = {}
 
@@ -166,18 +165,25 @@ def envelope_range(cuts, u_value, v_value) -> ProbabilityInterval:
 
 
 class _AugmentedProblem:
-    """Static data for one augmented query; node LPs are built per box set."""
+    """Static data for one augmented query; node LPs are built per box set.
 
-    def __init__(self, rows, assumptions, ws: WorldSpace, target, given):
-        self.ws = ws
-        self.n = len(ws)
-        self.pool = AggregatePool(ws)
+    The y columns are the world classes of :mod:`cpibounds.entailment`,
+    split also by every aggregate, whose tie row sums whole classes.
+    """
+
+    def __init__(self, sides, assumptions, ws: WorldSpace, target, given):
+        self.pool = AggregatePool()
         self.constraints: list[BilinearConstraint] = []
         for a in assumptions:
             self.constraints.extend(encode_assumption(a, self.pool))
-        self.k_rows = rows
-        self.given_ext = extension(given, ws)
-        self.obj_ext = extension(conjunction(target, given), ws)
+        masks = [
+            extension_mask(conjunction(target, given), ws),
+            extension_mask(given, ws),
+            *(extension_mask(s, ws) for s in self.pool.sentences),
+        ]
+        classes, self.class_rows, (self.obj_ext, self.given_ext, *agg_exts) = (
+            _class_program(sides, len(ws), masks)
+        )
         # products, deduplicated on the normalized id pair
         prods = []
         for c in self.constraints:
@@ -188,11 +194,16 @@ class _AugmentedProblem:
                         prods.append(key)
         self.products: list[tuple[int, int]] = prods
         self.n_aggs = len(self.pool.sentences)
-        # column layout: y worlds | t | aggregates | products
-        self.t_col = self.n
-        self.agg_col = self.n + 1
+        # column layout: y classes | t | aggregates | products
+        self.t_col = len(classes)
+        self.agg_col = self.t_col + 1
         self.prod_col = self.agg_col + self.n_aggs
         self.ncols = self.prod_col + len(self.products)
+        # sum_{classes of S} y - a_S = 0, one per aggregate
+        self.ties = [
+            ({**dict.fromkeys(ext, ONE), self.agg_col + k: -ONE}, "=", ZERO)
+            for k, ext in enumerate(agg_exts)
+        ]
 
     def side_col(self, side) -> int:
         if isinstance(side, tuple):
@@ -200,12 +211,9 @@ class _AugmentedProblem:
         return self.agg_col + side
 
     def node_rows(self, boxes):
-        rows = list(self.k_rows)
-        for k, sentence in enumerate(self.pool.sentences):
-            coeffs = {i: ONE for i in extension(sentence, self.ws)}
-            coeffs[self.agg_col + k] = coeffs.get(self.agg_col + k, ZERO) - ONE
-            rows.append((coeffs, "=", ZERO))
-            box = boxes[k]
+        rows = list(self.class_rows)
+        for k, (tie, box) in enumerate(zip(self.ties, boxes)):
+            rows.append(tie)
             if box.lower > ZERO:
                 rows.append(
                     ({self.agg_col + k: ONE, self.t_col: -box.lower}, ">=", ZERO)
@@ -227,7 +235,7 @@ class _AugmentedProblem:
             if lcol == rcol:
                 continue
             rows.append(({lcol: ONE, rcol: -ONE}, c.rel, ZERO))
-        return homogenized_rows(rows, self.n, self.given_ext)
+        return homogenized_rows(rows, self.t_col, self.given_ext)
 
     def solve_node(self, boxes, sense: str):
         objective = {i: ONE for i in self.obj_ext}
@@ -379,21 +387,20 @@ def entail_augmented(
     if not kb.assumptions:
         return entail_conditional(kb, ws, target, given)
     tolerance = Fraction(tolerance)
-    rows = kb_rows(kb, ws)
-    problem = _AugmentedProblem(rows, kb.assumptions, ws, target, given)
+    sides = kb_sides(kb, ws)
+    problem = _AugmentedProblem(sides, kb.assumptions, ws, target, given)
 
     # initial boxes: each McCormick factor's range under the axioms alone;
     # any other aggregate keeps the unit box, which emits no row (its range
     # is already implied by the axiom rows of every node LP)
     factors = {k for product in problem.products for k in product}
-    sides = kb_sides(kb, ws)
     boxes = []
     for k, sentence in enumerate(problem.pool.sentences):
         if k not in factors:
             boxes.append(ProbabilityInterval.vacuous())
             continue
         lo_lp, hi_lp = probability_bounds(
-            sides, problem.n, extension_mask(sentence, ws), ws.full_mask
+            sides, len(ws), extension_mask(sentence, ws), ws.full_mask
         )
         if lo_lp.status == "infeasible":
             raise InfeasibleAugmentedError("axiom system alone is already infeasible")
@@ -402,7 +409,7 @@ def entail_augmented(
 
     if given != TRUE:
         # sound vacuity test: max antecedent mass over the relaxed system
-        vac_problem = _AugmentedProblem(rows, kb.assumptions, ws, given, TRUE)
+        vac_problem = _AugmentedProblem(sides, kb.assumptions, ws, given, TRUE)
         lp = vac_problem.solve_node(root_boxes, "max")
         if lp.status == "infeasible":
             raise InfeasibleAugmentedError(

@@ -38,9 +38,12 @@ lowest-index column of the class first, and once that column is basic
 the others have reduced cost zero.  Numbering the classes by their
 lowest world (the lowest set bit of the class mask) therefore gives the
 merged LP the same pivots as the per-world one, and the merge pass
-keeps the LP widths those classes give.  The branch-and-bound node LPs
-and the maximum-entropy support LP build their own programs from
-:func:`cpibounds.kb.kb_rows` and keep one column per world.
+keeps the LP widths those classes give.  :func:`_class_program` is the
+one builder: the branch-and-bound node LPs (with each aggregate's mask
+as a further mask, see :mod:`cpibounds.assumptions`) and the
+maximum-entropy support LP run over the same classes.
+:func:`cpibounds.kb.kb_rows` is left as the per-world reference
+definition that the oracles check against.
 """
 
 from __future__ import annotations
@@ -90,23 +93,24 @@ class QueryResult:
 def homogenized_rows(rows, n: int, given_ext) -> list:
     """The caller's homogeneous rows, then sum_{given} y = 1, then sum y - t = 0.
 
-    Columns 0..n-1 are the scaled world weights y and column n is the
-    scale t; callers may place further columns after t.
+    Columns 0..n-1 are the scaled weights y of the n world classes and
+    column n is the scale t; callers may place further columns after t.
     """
     scale = {i: ONE for i in range(n)}
     scale[n] = -ONE
     return [*rows, ({i: ONE for i in given_ext}, "=", ONE), (scale, "=", ZERO)]
 
 
-def _class_program(sides, n: int, masks) -> tuple[int, list, list]:
+def _class_program(sides, n: int, masks) -> tuple[list, list, list]:
     """One column per class of worlds that no side and no mask tell apart.
 
     ``sides`` are :class:`cpibounds.kb.AxiomSide` records over ``n``
-    worlds.  Returns the class count, one row per side over class
-    columns and each of ``masks`` as a set of classes.  The parts of the
-    world set are split by every mask, then merged on equal coefficients
-    and memberships, and the classes are numbered by their lowest world,
-    so Bland's rule meets the columns in the order it would have.
+    worlds.  Returns each class's mask (their count is the LP width),
+    one row per side over class columns and each of ``masks`` as a set
+    of classes.  The parts of the world set are split by every mask,
+    then merged on equal coefficients and memberships, and the classes
+    are numbered by their lowest world, so Bland's rule meets the
+    columns in the order it would have.
     """
     parts = [(1 << n) - 1]
     for m in dict.fromkeys([*(m for side in sides for m in (side.both, side.ante)), *masks]):
@@ -125,7 +129,8 @@ def _class_program(sides, n: int, masks) -> tuple[int, list, list]:
             *(bool(p & m) for m in masks),
         )
         classes[key] = classes.get(key, 0) | p
-    keys = [key for _, key in sorted((c & -c, key) for key, c in classes.items())]
+    ordered = sorted(classes.items(), key=lambda item: item[1] & -item[1])
+    keys = [key for key, _ in ordered]
     rows = [
         ({c: value[key[r]] for c, key in enumerate(keys) if key[r]}, side.rel, ZERO)
         for r, (side, value) in enumerate(zip(sides, values))
@@ -134,7 +139,7 @@ def _class_program(sides, n: int, masks) -> tuple[int, list, list]:
         {c for c, key in enumerate(keys) if key[j]}
         for j in range(len(sides), len(sides) + len(masks))
     ]
-    return len(keys), rows, sets
+    return [c for _, c in ordered], rows, sets
 
 
 def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult]:
@@ -146,7 +151,8 @@ def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult
     distribution gives the antecedent positive probability.  The LPs run
     over world classes, so ``x`` holds one weight per class.
     """
-    k, rows, (target_ext, given_ext) = _class_program(sides, n, (target, given))
+    classes, rows, (target_ext, given_ext) = _class_program(sides, n, (target, given))
+    k = len(classes)
     lp_rows = homogenized_rows(rows, k, given_ext)
     objective = {i: ONE for i in target_ext}
     return (
@@ -157,7 +163,8 @@ def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult
 
 def _feasibility(sides, n: int) -> LpResult:
     """Phase 1 of the homogenized program over every world (scale t = 1)."""
-    k, rows, _ = _class_program(sides, n, ())
+    classes, rows, _ = _class_program(sides, n, ())
+    k = len(classes)
     return solve_lp(k + 1, homogenized_rows(rows, k, range(k)), {}, "min")
 
 

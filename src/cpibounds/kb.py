@@ -214,8 +214,10 @@ class KnowledgeBase:
 class LinearConstraint(NamedTuple):
     """Homogeneous row over world-probability variables: coeffs . x  rel  rhs.
 
-    Linearized axioms always have rhs 0; the entailment module adds the
-    single normalization row separately.  The solver checks ``rel``.
+    Linearized axioms always have rhs 0.  This per-world form is the
+    reference definition of the problem, read by the oracles and the
+    tests; every LP the package solves builds its rows over world
+    classes from :class:`AxiomSide` instead.
     """
 
     coeffs: dict

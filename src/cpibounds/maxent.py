@@ -19,7 +19,9 @@ normalization are exact by construction) drops below the tolerance.
 
 Worlds forced to probability zero make the entropy gradient unbounded,
 so they are detected exactly beforehand, by one LP over the homogeneous
-axiom cone, and eliminated.
+axiom cone, and eliminated.  That LP runs over the world classes of
+:mod:`cpibounds.entailment`: a class is in the support exactly when its
+worlds are.  The dual then keeps one column per support world.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entailment import VACUOUS, entail_conditional
+from .entailment import VACUOUS, _class_program, entail_conditional
 from .errors import InfeasibleError
-from .kb import KnowledgeBase, ProbabilityInterval, kb_rows
-from .sentences import Sentence, WorldSpace, conjunction, extension
+from .kb import KnowledgeBase, ProbabilityInterval, kb_sides
+from .sentences import Sentence, WorldSpace, conjunction, extension, mask_indices
 from .simplex import solve_lp
 
 DEFAULT_TOL = 1e-8
@@ -73,12 +75,12 @@ class PrecisionReport:
 
 
 def _support(rows, n: int) -> list[int]:
-    """Worlds that some admissible distribution gives positive probability.
+    """Columns that some admissible distribution gives positive probability.
 
     One LP over the homogeneous axiom cone {y >= 0 : rows} (Freund,
     Roundy & Todd 1985): maximize sum s_i subject to s_i <= y_i and
     s_i <= 1, columns y at 0..n-1 and s at n..2n-1.  The cone holds a
-    point with y_i >= 1 on every such world and forces y_i = 0 on the
+    point with y_i >= 1 on every such column and forces y_i = 0 on the
     others, so every optimum has s_i = 1 exactly on the support.
     """
     lp_rows = list(rows)
@@ -97,12 +99,12 @@ def _constraint_rows(rows, columns):
     merged into equalities.  Returns (equalities, inequalities) as arrays."""
     col_of = {w: j for j, w in enumerate(columns)}
     vectors = []
-    for row in rows:
+    for coeffs, rel, _ in rows:
         items = {}
-        for i, c in row.coeffs.items():
+        for i, c in coeffs.items():
             j = col_of.get(i)
             if j is not None:
-                items[j] = -c if row.rel == ">=" else c
+                items[j] = -c if rel == ">=" else c
         if items:
             vectors.append(items)
     eqs, ineqs = [], []
@@ -211,11 +213,17 @@ def solve_maxent(
     Raises InfeasibleError on an infeasible axiom set.  Non-convergence
     within the iteration cap is reported in the result, not raised.
     """
-    rows = kb_rows(kb, ws)
     n = len(ws)
-    free = _support(rows, n)
-
-    eq, ineq = _constraint_rows(rows, free)
+    classes, rows, _ = _class_program(kb_sides(kb, ws), n, ())
+    free_classes = _support(rows, len(classes))
+    # the dual keeps one column per support world, a copy of its class's
+    # column; C order keeps the summation order of numpy's products
+    class_of = {i: j for j, c in enumerate(free_classes) for i in mask_indices(classes[c])}
+    free = sorted(class_of)
+    take = [class_of[i] for i in free]
+    eq, ineq = (
+        np.ascontiguousarray(a[:, take]) for a in _constraint_rows(rows, free_classes)
+    )
     mu = np.zeros(len(eq))
     nu = np.zeros(len(ineq))
     step = 1.0

@@ -26,7 +26,9 @@ bit order.  Each atom's mask is built by pattern arithmetic over the
 conjunction of its masks, and every other sentence is evaluated with
 ``& | ^`` on masks, never world by world (Knuth, TAOCP 4A, 7.1.3, on
 truth tables as bit vectors).  :func:`extension` turns a mask into
-world indices; :func:`evaluate` still evaluates one world.
+world indices; :func:`evaluate` still evaluates one world.  A world
+space stores only the mask of its kept assignments; ``ws.worlds`` makes
+the :class:`World` records from it on each access.
 Sentences are immutable and every operation is pure, but a world space
 memoizes masks in a mutable per-instance cache (``_ext_cache``), so a
 world space is not safe to share across threads without a lock.
@@ -346,24 +348,33 @@ class WorldSpace:
 
     Worlds are in lexicographic order of their boolean vectors, so index
     ``i`` is stable across runs and usable as an LP variable index; it is
-    also bit ``i`` of every extension mask.  The cache maps sentences to
-    masks and starts out holding each atom's.
+    also bit ``i`` of every extension mask.  ``kept`` is the mask of the
+    kept assignments among all 2^n in product order; it follows from the
+    atoms and the background, so equality compares only those.  The
+    cache maps sentences to masks and starts out holding each atom's.
     """
 
     atoms: tuple[str, ...]
-    worlds: tuple[World, ...]
     background: tuple[Sentence, ...]
+    kept: int = field(repr=False, compare=False)
     _ext_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
 
     def __len__(self) -> int:
-        return len(self.worlds)
+        return self.kept.bit_count()
 
     @property
     def full_mask(self) -> int:
         """The mask of every world."""
-        return (1 << len(self.worlds)) - 1
+        return (1 << len(self)) - 1
+
+    @property
+    def worlds(self) -> tuple[World, ...]:
+        """One :class:`World` per kept assignment, in index order, built on each access."""
+        values = itertools.product((False, True), repeat=len(self.atoms))
+        flags = _bits(self.kept, 1 << len(self.atoms)).translate(_BIT_BYTES)
+        return tuple(World(self.atoms, v) for v in itertools.compress(values, flags))
 
 
 def _atom_name(a) -> str:
@@ -458,15 +469,12 @@ def build_world_space(
         kept &= _mask(s, cache, full)
     if not kept:
         raise EmptyWorldSpaceError("background theory is unsatisfiable")
-    values = itertools.product((False, True), repeat=len(names))
     if kept != full:
-        # keep the surviving assignments, and pack each atom's mask onto them
+        # pack each atom's mask onto the surviving assignments
         flags = _bits(kept, size).translate(_BIT_BYTES)
-        values = itertools.compress(values, flags)
         for a, m in cache.items():
             cache[a] = int(bytes(itertools.compress(_bits(m, size), flags))[::-1], 2)
-    worlds = tuple(World(names, v) for v in values)
-    return WorldSpace(names, worlds, background, cache)
+    return WorldSpace(names, background, kept, cache)
 
 
 def extension_mask(s: Sentence, ws: WorldSpace) -> int:

@@ -8,11 +8,9 @@ index on ratio ties), which rules out cycling.
 
 This solver is deliberately dense and tableau-based: the polytopes in
 this package have at most a few dozen rows and columns, and exactness
-matters far more than speed.  The column count holds for the
-entailment LPs because their callers merge the worlds that no row tells
-apart into one column (see :mod:`cpibounds.entailment`); the
-branch-and-bound node LPs and the maxent support LP still carry one
-column per world.
+matters far more than speed.  The column count holds because every
+caller merges the worlds that no row tells apart into one column (see
+:mod:`cpibounds.entailment`).
 
 The solver counts its own work: every LP solved inside a ``counting()``
 block adds its pivots to that block's :class:`Stats`.  Open scopes are

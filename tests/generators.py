@@ -61,3 +61,18 @@ def random_feasible_kb(rng, **kwargs):
         ws = build_world_space(kb.atoms)
         if feasible(kb, ws):
             return kb, ws
+
+
+def one_class_per_world(class_program):
+    """``class_program`` with every world split into its own class.
+
+    Passing each world's mask as an extra mask leaves one class per
+    world, numbered by world, which is the per-world program; the extra
+    class sets are dropped, so callers see the usual return value.
+    """
+
+    def split(sides, n, masks):
+        classes, rows, sets = class_program(sides, n, (*masks, *(1 << i for i in range(n))))
+        return classes, rows, sets[: len(masks)]
+
+    return split

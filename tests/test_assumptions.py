@@ -1,5 +1,6 @@
 """Bilinear assumptions: encoding, McCormick envelopes, branch-and-bound."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from cpibounds import (
     parse_kb,
     parse_sentence,
 )
+from cpibounds import assumptions
 from cpibounds.assumptions import (
     AggregatePool,
     encode_assumption,
@@ -27,7 +29,8 @@ from cpibounds.assumptions import (
     simplest_between,
 )
 from cpibounds.oracle import GridSearchConfig, grid_bounds
-from generators import random_feasible_kb, random_sentence
+from cpibounds.simplex import counting
+from generators import one_class_per_world, random_feasible_kb, random_sentence
 
 F = Fraction
 A, B, G = Atom("A"), Atom("B"), Atom("G")
@@ -36,25 +39,24 @@ WS2 = build_world_space(["A", "B"])
 
 class TestEncoding:
     def test_unconditional_independence_degenerates(self):
-        pool = AggregatePool(WS2)
+        pool = AggregatePool()
         (c,) = encode_assumption(CondIndependence(A, B, TRUE), pool)
         assert pool.describe(c) == "p(A & B) = p(A) * p(B)"
 
     def test_conditional_independence_clears_denominator(self):
-        ws = build_world_space(["A", "B", "G"])
-        pool = AggregatePool(ws)
+        pool = AggregatePool()
         (c,) = encode_assumption(CondIndependence(A, B, G), pool)
         assert pool.describe(c) == "p(A & B & G) * p(G) = p(A & G) * p(B & G)"
 
     def test_correlation_signs(self):
-        pool = AggregatePool(WS2)
+        pool = AggregatePool()
         (neg,) = encode_assumption(NegativeCorrelation(A, B), pool)
         assert pool.describe(neg) == "p(A & B) <= p(A) * p(B)"
         (pos,) = encode_assumption(PositiveCorrelation(A, B), pool)
         assert pool.describe(pos) == "p(A & B) >= p(A) * p(B)"
 
     def test_aggregates_are_interned(self):
-        pool = AggregatePool(WS2)
+        pool = AggregatePool()
         encode_assumption(CondIndependence(A, B, TRUE), pool)
         encode_assumption(NegativeCorrelation(A, B), pool)
         assert len(pool.sentences) == 3  # A & B, A, B shared
@@ -232,3 +234,55 @@ class TestAugmentedEntailment:
         kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
         res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
         assert res.interval == ProbabilityInterval.point(F(1, 2))
+
+
+def test_class_columns_match_per_world_columns(monkeypatch):
+    # node LPs over world classes against the same search with one class
+    # per world: Bland's rule takes the same pivots to the same vertices,
+    # so answers, flags, node counts and pivots agree
+    rng = random.Random(97)
+    kinds = (
+        lambda a, b, g: CondIndependence(a, b, TRUE),
+        CondIndependence,
+        lambda a, b, g: PositiveCorrelation(a, b),
+        lambda a, b, g: NegativeCorrelation(a, b),
+    )
+    merged = set()
+    outcomes = set()
+    for trial in range(120):
+        kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
+        a, b, g = (random_sentence(rng, kb.atoms, 1) for _ in range(3))
+        kb = dataclasses.replace(kb, assumptions=(kinds[trial % 4](a, b, g),))
+        target = random_sentence(rng, kb.atoms)
+        given = random_sentence(rng, kb.atoms, 1) if trial // 4 % 2 else TRUE
+        answers = []
+        for per_world in (False, True):
+            with monkeypatch.context() as patch:
+                if per_world:
+                    patch.setattr(
+                        assumptions,
+                        "_class_program",
+                        one_class_per_world(assumptions._class_program),
+                    )
+                with counting() as stats:
+                    try:
+                        answer = entail_augmented(
+                            kb, ws, target, given, tolerance=F(1, 10**4), node_cap=6
+                        )
+                    except InfeasibleAugmentedError as exc:
+                        answer = str(exc)
+            answers.append((answer, stats.pivots))
+        assert answers[0] == answers[1]
+        answer = answers[0][0]
+        outcomes.add("infeasible" if isinstance(answer, str) else (answer.status, answer.convergence))
+        problem = assumptions._AugmentedProblem(
+            assumptions.kb_sides(kb, ws), kb.assumptions, ws, target, given
+        )
+        merged.add(problem.t_col < len(ws))
+    assert outcomes >= {
+        "infeasible",
+        ("determined", "converged"),
+        ("determined", "outer_bound"),
+        ("vacuous_by_zero_antecedent", "converged"),
+    }
+    assert merged == {False, True}

@@ -251,7 +251,7 @@ class TestMergedWorlds:
                 (*(r.coeffs.get(j, 0) for r in rows), j in target_ext, j in given_ext)
                 for j in range(n)
             }
-            width = _class_program(sides, n, masks)[0]
+            width = len(_class_program(sides, n, masks)[0])
             assert width == len(keys)
             members = {
                 (*(m >> j & 1 for s in sides for m in (s.both, s.ante)),

@@ -1,5 +1,6 @@
 """Maximum entropy under the axioms, and the precision report."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,15 +8,20 @@ from fractions import Fraction
 import pytest
 
 from cpibounds import (
+    TRUE,
     Atom,
+    CpiAxiom,
     InfeasibleError,
     KnowledgeBase,
+    ProbabilityInterval,
     build_world_space,
     entail_unconditional,
     extension,
+    feasible,
     parse_kb,
     parse_sentence,
 )
+from cpibounds import maxent
 from cpibounds.maxent import (
     PARTIAL,
     PINNED,
@@ -23,7 +29,7 @@ from cpibounds.maxent import (
     precision_report,
     solve_maxent,
 )
-from generators import random_feasible_kb, random_sentence
+from generators import one_class_per_world, random_feasible_kb, random_sentence
 
 F = Fraction
 WS2 = build_world_space(["A", "B"])
@@ -81,6 +87,33 @@ class TestSolveMaxent:
             assert _support(rows, n) == expected
             pruned += len(expected) < n
         assert pruned  # some instance forces a world to zero
+
+    def test_class_columns_match_per_world_columns(self, monkeypatch):
+        # the support LP over world classes against one class per world:
+        # the same support, and a dual that gives the same bits
+        rng = random.Random(89)
+        pinned = forced = merged = 0
+        for trial in range(60):
+            kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
+            if trial % 2:
+                # sides pinned to 1 and to 0, which force worlds to zero
+                extra = (
+                    CpiAxiom(random_sentence(rng, kb.atoms), TRUE, ProbabilityInterval.point(1)),
+                    CpiAxiom(random_sentence(rng, kb.atoms), random_sentence(rng, kb.atoms, 1),
+                             ProbabilityInterval.point(0)),
+                )
+                wider = dataclasses.replace(kb, axioms=(*kb.axioms, *extra))
+                if feasible(wider, ws):
+                    kb = wider
+                    pinned += 1
+            by_class = solve_maxent(kb, ws)
+            with monkeypatch.context() as patch:
+                patch.setattr(maxent, "_class_program", one_class_per_world(maxent._class_program))
+                by_world = solve_maxent(kb, ws)
+            assert by_class == by_world
+            forced += 0.0 in by_class.distribution
+            merged += len(maxent._class_program(maxent.kb_sides(kb, ws), len(ws), ())[0]) < len(ws)
+        assert pinned >= 10 and forced and merged
 
     def test_feasibility_within_1e9(self):
         rng = random.Random(71)

@@ -240,10 +240,12 @@ class TestMasks:
         sentences = [_random_sentence(rng, atoms, 4) for _ in range(10)]
         masks = [extension_mask(s, ws) for s in sentences]
         sample = sorted(rng.sample(range(len(ws)), 200))
+        worlds = ws.worlds  # built on each access
+        assert len(worlds) == len(ws)
         for i, j in zip(sample, sample[1:]):
-            assert ws.worlds[i].values < ws.worlds[j].values
+            assert worlds[i].values < worlds[j].values
         for i in sample:
-            w = ws.worlds[i]
+            w = worlds[i]
             assert evaluate(ws.background[0], w)
             for s, m in zip(sentences, masks):
                 assert (m >> i & 1) == evaluate(s, w)
