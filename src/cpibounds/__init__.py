@@ -9,6 +9,8 @@ and branch-and-bound, bridges to Dempster-Shafer belief structures, and
 contrasts local interval-propagation inference with LP entailment.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AtomCapError,
     CoverageMismatchError,
@@ -65,9 +67,7 @@ from .kb import (
 )
 from .entailment import (
     QueryResult,
-    entail_all,
     entail_conditional,
-    entail_unconditional,
     feasible,
 )
 from .assumptions import (
@@ -95,5 +95,10 @@ from .propagation import (
     propagate_fixpoint,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes too, but a star import binds no module
+# (``kb`` would shadow the usual name of a knowledge base)
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

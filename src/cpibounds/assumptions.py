@@ -7,12 +7,17 @@ cleared-denominator form
     p(C & D & G) * p(G) = p(C & G) * p(D & G)
 
 (which holds vacuously when p(G) = 0), and a correlation sign is
-p(A & B) <= or >= p(A) * p(B).  Each aggregate p(S) gets an LP column
-tied to its worlds, each product gets a fresh column bounded by the four
-McCormick envelope planes over the current aggregate boxes, and queries
-run through the same homogenizing transform as plain conditional
-entailment (envelope constants are multiplied by the scale column, so
-the relaxation stays linear and exact).
+p(A & B) <= or >= p(A) * p(B).  :func:`encode_assumption` returns this
+form as plain data, ``(left, rel, right)``, where each side is a tuple
+of one or two sentences whose probabilities multiply.  Each query's
+:class:`_AugmentedProblem` numbers the distinct aggregate sentences
+once, in first-appearance order, and the distinct products once, by
+their sorted id pair.  Each aggregate p(S) gets an LP column tied to its worlds,
+each product gets a fresh column bounded by the four McCormick envelope
+planes over the current aggregate boxes, and queries run through the
+same homogenizing transform as plain conditional entailment (envelope
+constants are multiplied by the scale column, so the relaxation stays
+linear and exact).
 
 Branch-and-bound then splits aggregate boxes at relaxation optima until
 either the outer bounds meet an exactly-feasible incumbent within the
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,70 +64,21 @@ DEFAULT_NODE_CAP = 10_000
 EDGE_CLAMP = Fraction(1, 100)
 
 
-# a side is an aggregate id, or a product of two aggregate ids
-Side = int | tuple[int, int]
+def encode_assumption(assumption) -> tuple:
+    """Bilinear form of one assumption, ``(left, rel, right)``.
 
-
-@dataclass(frozen=True)
-class BilinearConstraint:
-    """left rel right, where each side is an aggregate or a product of two.
-
-    A side that is a bare aggregate id plays the role of "times the
-    constant 1" in the unnormalized space (the constant becomes the
-    homogenization scale after the conditional-query transform).
+    Each side is a tuple of one or two aggregate sentences whose
+    probabilities multiply.  A side of one sentence plays the role of
+    "times the constant 1" in the unnormalized space (the constant becomes
+    the homogenization scale after the conditional-query transform).
     """
-
-    left: Side
-    rel: str  # "=", "<=", ">="
-    right: Side
-
-
-class AggregatePool:
-    """Interns aggregate sentences so ids are shared across assumptions."""
-
-    def __init__(self):
-        self.sentences: list[Sentence] = []
-        self._ids: dict[Sentence, int] = {}
-
-    def aggregate(self, sentence: Sentence) -> int:
-        found = self._ids.get(sentence)
-        if found is not None:
-            return found
-        idx = len(self.sentences)
-        self.sentences.append(sentence)
-        self._ids[sentence] = idx
-        return idx
-
-    def describe(self, c: BilinearConstraint) -> str:
-        def side(s) -> str:
-            if isinstance(s, tuple):
-                return f"p({self.sentences[s[0]]}) * p({self.sentences[s[1]]})"
-            return f"p({self.sentences[s]})"
-
-        return f"{side(c.left)} {c.rel} {side(c.right)}"
-
-
-def encode_assumption(assumption, pool: AggregatePool) -> list[BilinearConstraint]:
-    """Bilinear form of one assumption, with aggregates interned in the pool."""
     if isinstance(assumption, CondIndependence):
         c, d, g = assumption.first, assumption.second, assumption.given
-        if g == TRUE:
-            left: Side = pool.aggregate(conjunction(c, d))
-        else:
-            left = (
-                pool.aggregate(conjunction(c, d, g)),
-                pool.aggregate(g),
-            )
-        right = (
-            pool.aggregate(conjunction(c, g)),
-            pool.aggregate(conjunction(d, g)),
-        )
-        return [BilinearConstraint(left, "=", right)]
+        left = (conjunction(c, d),) if g == TRUE else (conjunction(c, d, g), g)
+        return left, "=", (conjunction(c, g), conjunction(d, g))
     if isinstance(assumption, (PositiveCorrelation, NegativeCorrelation)):
         rel = ">=" if isinstance(assumption, PositiveCorrelation) else "<="
-        left = pool.aggregate(conjunction(assumption.a, assumption.b))
-        right = (pool.aggregate(assumption.a), pool.aggregate(assumption.b))
-        return [BilinearConstraint(left, rel, right)]
+        return (conjunction(assumption.a, assumption.b),), rel, (assumption.a, assumption.b)
     raise TypeError(f"unknown assumption {assumption!r}")
 
 
@@ -172,43 +129,49 @@ class _AugmentedProblem:
     """
 
     def __init__(self, sides, assumptions, ws: WorldSpace, target, given):
-        self.pool = AggregatePool()
-        self.constraints: list[BilinearConstraint] = []
-        for a in assumptions:
-            self.constraints.extend(encode_assumption(a, self.pool))
+        # aggregates are numbered in first-appearance order, each side of a
+        # relation becomes its sorted id tuple, and the products are the
+        # distinct id pairs in first-appearance order
+        ids: dict[Sentence, int] = {}
+
+        def number(side) -> tuple:
+            return tuple(sorted(ids.setdefault(s, len(ids)) for s in side))
+
+        self.relations = [
+            (number(left), rel, number(right))
+            for left, rel, right in map(encode_assumption, assumptions)
+        ]
+        self.aggregates: list[Sentence] = list(ids)
+        self.products: list[tuple[int, int]] = list(dict.fromkeys(
+            side for left, _, right in self.relations for side in (left, right)
+            if len(side) == 2
+        ))
         masks = [
             extension_mask(conjunction(target, given), ws),
             extension_mask(given, ws),
-            *(extension_mask(s, ws) for s in self.pool.sentences),
+            *(extension_mask(s, ws) for s in self.aggregates),
         ]
         classes, self.class_rows, (self.obj_ext, self.given_ext, *agg_exts) = (
             _class_program(sides, len(ws), masks)
         )
-        # products, deduplicated on the normalized id pair
-        prods = []
-        for c in self.constraints:
-            for side in (c.left, c.right):
-                if isinstance(side, tuple):
-                    key = tuple(sorted(side))
-                    if key not in prods:
-                        prods.append(key)
-        self.products: list[tuple[int, int]] = prods
-        self.n_aggs = len(self.pool.sentences)
+        self.n_aggs = len(self.aggregates)
         # column layout: y classes | t | aggregates | products
         self.t_col = len(classes)
         self.agg_col = self.t_col + 1
         self.prod_col = self.agg_col + self.n_aggs
         self.ncols = self.prod_col + len(self.products)
+        col = {(k,): self.agg_col + k for k in range(self.n_aggs)}
+        col.update((pair, self.prod_col + p) for p, pair in enumerate(self.products))
+        self.relation_rows = [
+            ({col[left]: ONE, col[right]: -ONE}, rel, ZERO)
+            for left, rel, right in self.relations
+            if left != right
+        ]
         # sum_{classes of S} y - a_S = 0, one per aggregate
         self.ties = [
             ({**dict.fromkeys(ext, ONE), self.agg_col + k: -ONE}, "=", ZERO)
             for k, ext in enumerate(agg_exts)
         ]
-
-    def side_col(self, side) -> int:
-        if isinstance(side, tuple):
-            return self.prod_col + self.products.index(tuple(sorted(side)))
-        return self.agg_col + side
 
     def node_rows(self, boxes):
         rows = list(self.class_rows)
@@ -230,11 +193,7 @@ class _AugmentedProblem:
                 coeffs[self.agg_col + v] = coeffs.get(self.agg_col + v, ZERO) - cut.v_coeff
                 coeffs[self.t_col] = coeffs.get(self.t_col, ZERO) - cut.constant
                 rows.append((coeffs, cut.rel, ZERO))
-        for c in self.constraints:
-            lcol, rcol = self.side_col(c.left), self.side_col(c.right)
-            if lcol == rcol:
-                continue
-            rows.append(({lcol: ONE, rcol: -ONE}, c.rel, ZERO))
+        rows.extend(self.relation_rows)
         return homogenized_rows(rows, self.t_col, self.given_ext)
 
     def solve_node(self, boxes, sense: str):
@@ -252,17 +211,15 @@ class _AugmentedProblem:
         """Do the true bilinear relations hold at this aggregate valuation?"""
 
         def value(side) -> Fraction:
-            if isinstance(side, tuple):
-                return aggs[side[0]] * aggs[side[1]]
-            return aggs[side]
+            return math.prod(aggs[k] for k in side)
 
-        for c in self.constraints:
-            left, right = value(c.left), value(c.right)
-            if c.rel == "=" and left != right:
+        for left, rel, right in self.relations:
+            left, right = value(left), value(right)
+            if rel == "=" and left != right:
                 return False
-            if c.rel == "<=" and left > right:
+            if rel == "<=" and left > right:
                 return False
-            if c.rel == ">=" and left < right:
+            if rel == ">=" and left < right:
                 return False
         return True
 
@@ -395,7 +352,7 @@ def entail_augmented(
     # is already implied by the axiom rows of every node LP)
     factors = {k for product in problem.products for k in product}
     boxes = []
-    for k, sentence in enumerate(problem.pool.sentences):
+    for k, sentence in enumerate(problem.aggregates):
         if k not in factors:
             boxes.append(ProbabilityInterval.vacuous())
             continue

@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("kb", help="knowledge-base file, or - for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
-            "--atom-cap", type=int, default=DEFAULT_ATOM_CAP,
+            "--atom-cap", type=_at_least(int, 1), default=DEFAULT_ATOM_CAP,
             help="max atoms to enumerate (default %(default)s)",
         )
         p.add_argument(

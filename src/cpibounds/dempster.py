@@ -2,7 +2,9 @@
 
 Subsets of the frame are bitmasks over its element order, masses and
 beliefs are exact rationals, and the full 2^n tables are materialized
-(the frame is capped at 16 elements, 65536 subsets).
+(the frame is capped at 16 elements, 65536 subsets).  A
+:class:`MassFunction` holds masses only: the belief and plausibility of
+a mass function ``m`` are ``bel_from_mass(m).lower`` and ``.upper``.
 
 The bridge to the rest of the package runs in both directions: an
 entailed lower envelope over a frame embedded in the world space is
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entailment import entail_unconditional
+from .entailment import entail_conditional
 from .errors import FrameMappingError, TotalConflictError
 from .kb import KnowledgeBase
 from .sentences import Atom, Sentence, WorldSpace, disjunction, extension_mask
@@ -111,12 +113,6 @@ class MassFunction:
 
     def focal(self):
         return sorted(self._focal.items())
-
-    def bel(self, mask: int) -> Fraction:
-        return sum((v for m, v in self._focal.items() if m & ~mask == 0), start=ZERO)
-
-    def pl(self, mask: int) -> Fraction:
-        return ONE - self.bel(self.frame.full_mask & ~mask)
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,7 +304,7 @@ def envelope_from_entailment(
         if mask in lower:
             continue
         members = [sentences[i] for i in range(frame.size) if mask >> i & 1]
-        interval = entail_unconditional(kb, ws, disjunction(*members)).interval
+        interval = entail_conditional(kb, ws, disjunction(*members)).interval
         lower[mask] = interval.lower
         lower[frame.full_mask ^ mask] = ONE - interval.upper
     return LowerEnvelope(frame, tuple(lower[mask] for mask in frame.subsets()))

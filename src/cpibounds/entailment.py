@@ -206,16 +206,3 @@ def entail_conditional(
     assert low.status == "optimal" and high.status == "optimal"
     return QueryResult(DETERMINED, ProbabilityInterval(low.value, high.value))
 
-
-def entail_unconditional(
-    kb: KnowledgeBase, ws: WorldSpace, target: Sentence
-) -> QueryResult:
-    return entail_conditional(kb, ws, target, TRUE)
-
-
-def entail_all(kb: KnowledgeBase, ws: WorldSpace) -> dict:
-    """One QueryResult per registered query, keyed by (target, given)."""
-    return {
-        (target, given): entail_conditional(kb, ws, target, given)
-        for target, given in kb.queries
-    }

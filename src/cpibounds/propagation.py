@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entailment import entail_unconditional
+from .entailment import entail_conditional
 from .errors import CoverageMismatchError, InconsistencySignal
 from .kb import CpiAxiom, KnowledgeBase, ProbabilityInterval
 from .sentences import TRUE, And, Not, Or, Sentence, WorldSpace
@@ -238,7 +238,7 @@ def propagate_fixpoint(
 
 def entailed_intervals(kb: KnowledgeBase, ws: WorldSpace, sentences) -> dict:
     """LP-entailed interval per sentence, the judging reference."""
-    return {s: entail_unconditional(kb, ws, s).interval for s in sentences}
+    return {s: entail_conditional(kb, ws, s).interval for s in sentences}
 
 
 @dataclass(frozen=True)

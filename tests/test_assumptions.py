@@ -15,13 +15,13 @@ from cpibounds import (
     ProbabilityInterval,
     TRUE,
     build_world_space,
+    conjunction,
     entail_conditional,
     parse_kb,
     parse_sentence,
 )
 from cpibounds import assumptions
 from cpibounds.assumptions import (
-    AggregatePool,
     encode_assumption,
     entail_augmented,
     envelope_range,
@@ -39,27 +39,35 @@ WS2 = build_world_space(["A", "B"])
 
 class TestEncoding:
     def test_unconditional_independence_degenerates(self):
-        pool = AggregatePool()
-        (c,) = encode_assumption(CondIndependence(A, B, TRUE), pool)
-        assert pool.describe(c) == "p(A & B) = p(A) * p(B)"
+        # p(A & B) = p(A) * p(B)
+        assert encode_assumption(CondIndependence(A, B, TRUE)) == (
+            (conjunction(A, B),), "=", (A, B)
+        )
 
     def test_conditional_independence_clears_denominator(self):
-        pool = AggregatePool()
-        (c,) = encode_assumption(CondIndependence(A, B, G), pool)
-        assert pool.describe(c) == "p(A & B & G) * p(G) = p(A & G) * p(B & G)"
+        # p(A & B & G) * p(G) = p(A & G) * p(B & G)
+        assert encode_assumption(CondIndependence(A, B, G)) == (
+            (conjunction(A, B, G), G), "=", (conjunction(A, G), conjunction(B, G))
+        )
 
     def test_correlation_signs(self):
-        pool = AggregatePool()
-        (neg,) = encode_assumption(NegativeCorrelation(A, B), pool)
-        assert pool.describe(neg) == "p(A & B) <= p(A) * p(B)"
-        (pos,) = encode_assumption(PositiveCorrelation(A, B), pool)
-        assert pool.describe(pos) == "p(A & B) >= p(A) * p(B)"
+        # p(A & B) <= p(A) * p(B), and >= for a positive correlation
+        assert encode_assumption(NegativeCorrelation(A, B)) == (
+            (conjunction(A, B),), "<=", (A, B)
+        )
+        assert encode_assumption(PositiveCorrelation(A, B)) == (
+            (conjunction(A, B),), ">=", (A, B)
+        )
 
     def test_aggregates_are_interned(self):
-        pool = AggregatePool()
-        encode_assumption(CondIndependence(A, B, TRUE), pool)
-        encode_assumption(NegativeCorrelation(A, B), pool)
-        assert len(pool.sentences) == 3  # A & B, A, B shared
+        kb = parse_kb("atom A B\nassume indep(A, B)\nassume negcorr(A, B)")
+        ws = build_world_space(kb.atoms)
+        problem = assumptions._AugmentedProblem(
+            assumptions.kb_sides(kb, ws), kb.assumptions, ws, A, TRUE
+        )
+        assert problem.aggregates == [conjunction(A, B), A, B]  # shared
+        assert problem.products == [(1, 2)]
+        assert problem.relations == [((0,), "=", (1, 2)), ((0,), "<=", (1, 2))]
 
 
 class TestMcCormick:

@@ -139,7 +139,9 @@ class TestEntail:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--places", "-2"], ["--node-cap", "-3"]])
+    @pytest.mark.parametrize(
+        "flags", [["--places", "-2"], ["--node-cap", "-3"], ["--atom-cap", "0"]]
+    )
     def test_out_of_range_flag_is_usage_error(self, capsys, kb_file, flags):
         with pytest.raises(SystemExit) as exc:
             main(["entail", kb_file(BASIC), *flags])

@@ -16,9 +16,7 @@ from cpibounds import (
     ProbabilityInterval,
     TRUE,
     build_world_space,
-    entail_all,
     entail_conditional,
-    entail_unconditional,
     feasible,
     parse_kb,
     parse_sentence,
@@ -61,19 +59,19 @@ class TestFeasible:
 class TestUnconditional:
     def test_ignorance_is_vacuous_interval(self):
         kb = KnowledgeBase(atoms=("A", "B"))
-        res = entail_unconditional(kb, WS2, A)
+        res = entail_conditional(kb, WS2, A)
         assert res.interval == ProbabilityInterval.vacuous()
 
     def test_negation_complement(self):
         kb = parse_kb("atom A\nP(A) = 0.3")
-        res = entail_unconditional(kb, build_world_space(kb.atoms), Not(A))
+        res = entail_conditional(kb, build_world_space(kb.atoms), Not(A))
         assert res.interval == ProbabilityInterval.point(F(7, 10))
 
     def test_material_implication_bounds(self):
         # p(A)=0.7 and p(A->B)=0.8 entail p(B) in [0.5, 0.8]; frozen from
         # vertex enumeration of the 4-world polytope
         kb = parse_kb("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8")
-        res = entail_unconditional(kb, WS2, B)
+        res = entail_conditional(kb, WS2, B)
         assert res.interval == ProbabilityInterval(F(1, 2), F(4, 5))
         assert res.interval == vertex_bounds(kb, WS2, B)
         assert res.lower_attained and res.upper_attained
@@ -81,7 +79,7 @@ class TestUnconditional:
     def test_infeasible_raises(self):
         kb = parse_kb("atom A\n0.6 <= P(A)\nP(A) <= 0.4")
         with pytest.raises(InfeasibleError):
-            entail_unconditional(kb, build_world_space(kb.atoms), A)
+            entail_conditional(kb, build_world_space(kb.atoms), A)
 
 
 class TestConditional:
@@ -106,7 +104,7 @@ class TestConditional:
         # 0.7 <= p(A|B), p(B) = 0.5 entail p(A & B) in [0.35, 0.5]; frozen
         # from vertex enumeration
         kb = parse_kb("atom A B\n0.7 <= P(A | B)\nP(B) = 0.5")
-        res = entail_unconditional(kb, WS2, parse_sentence("A & B"))
+        res = entail_conditional(kb, WS2, parse_sentence("A & B"))
         assert res.interval == ProbabilityInterval(F(7, 20), F(1, 2))
         assert res.interval == vertex_bounds(kb, WS2, parse_sentence("A & B"))
 
@@ -123,18 +121,26 @@ class TestConditional:
             kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
             target = random_sentence(rng, kb.atoms)
             a = entail_conditional(kb, ws, target, TRUE)
-            b = entail_unconditional(kb, ws, target)
+            b = entail_conditional(kb, ws, target)
             assert a.interval == b.interval and a.status == b.status
+
+
+def answer_queries(kb, ws) -> dict:
+    """One QueryResult per registered query, keyed by (target, given)."""
+    return {
+        (target, given): entail_conditional(kb, ws, target, given)
+        for target, given in kb.queries
+    }
 
 
 class TestEntailAll:
     def test_empty_query_list(self):
         kb = KnowledgeBase(atoms=("A",))
-        assert entail_all(kb, build_world_space(kb.atoms)) == {}
+        assert answer_queries(kb, build_world_space(kb.atoms)) == {}
 
     def test_point_query(self):
         kb = parse_kb("atom A\nP(A) = 0.3\nquery P(A)")
-        results = entail_all(kb, build_world_space(kb.atoms))
+        results = answer_queries(kb, build_world_space(kb.atoms))
         assert results[(A, TRUE)].interval == ProbabilityInterval.point(F(3, 10))
 
     def test_frechet_pair(self):
@@ -143,7 +149,7 @@ class TestEntailAll:
         kb = parse_kb(
             "atom A B\nP(A) = 0.3\nP(B) = 0.5\nquery P(A & B)\nquery P((A | B))"
         )
-        results = entail_all(kb, WS2)
+        results = answer_queries(kb, WS2)
         conj = results[(parse_sentence("A & B"), TRUE)]
         disj = results[(parse_sentence("A | B"), TRUE)]
         assert conj.interval == ProbabilityInterval(F(0), F(3, 10))
@@ -156,8 +162,8 @@ class TestProperties:
         for _ in range(25):
             kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
             target = random_sentence(rng, kb.atoms)
-            pos = entail_unconditional(kb, ws, target).interval
-            neg = entail_unconditional(kb, ws, Not(target)).interval
+            pos = entail_conditional(kb, ws, target).interval
+            neg = entail_conditional(kb, ws, Not(target)).interval
             assert neg.lower == 1 - pos.upper
             assert neg.upper == 1 - pos.lower
 
@@ -173,15 +179,15 @@ class TestProperties:
             if not feasible(grown, ws):
                 continue
             target = random_sentence(rng, kb.atoms)
-            wide = entail_unconditional(kb, ws, target).interval
-            narrow = entail_unconditional(grown, ws, target).interval
+            wide = entail_conditional(kb, ws, target).interval
+            narrow = entail_conditional(grown, ws, target).interval
             assert wide.contains_interval(narrow)
             trials += 1
 
     def test_point_axioms_entail_intervals_in_general(self):
         # equalities in, non-degenerate interval out
         kb = parse_kb("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8")
-        res = entail_unconditional(kb, WS2, B)
+        res = entail_conditional(kb, WS2, B)
         assert not res.interval.is_point
 
     def test_bounds_always_ordered_and_within_unit(self):

@@ -16,7 +16,6 @@ from cpibounds import (
     disjunction,
     entail_augmented,
     entail_conditional,
-    entail_unconditional,
     envelope_from_entailment,
     parse_kb,
     parse_sentence,
@@ -95,7 +94,7 @@ def test_envelope_runs_one_lp_pair_per_complementary_pair(lp_calls):
     sentences = list(mapping.values())
     for mask in envelope.frame.subsets():
         members = [s for i, s in enumerate(sentences) if mask >> i & 1]
-        expected = entail_unconditional(kb, ws, disjunction(*members))
+        expected = entail_conditional(kb, ws, disjunction(*members))
         assert envelope.lower(mask) == expected.interval.lower
 
 

@@ -15,7 +15,7 @@ from cpibounds import (
     KnowledgeBase,
     ProbabilityInterval,
     build_world_space,
-    entail_unconditional,
+    entail_conditional,
     extension,
     feasible,
     parse_kb,
@@ -172,7 +172,7 @@ class TestSolveMaxent:
             kb, ws = random_feasible_kb(rng, max_atoms=3, max_axioms=3)
             sol = solve_maxent(kb, ws, tol=1e-10)
             target = random_sentence(rng, kb.atoms)
-            interval = entail_unconditional(kb, ws, target).interval
+            interval = entail_conditional(kb, ws, target).interval
             value = sol.probability(extension(target, ws))
             assert float(interval.lower) - 1e-6 <= value <= float(interval.upper) + 1e-6
 
