@@ -18,7 +18,6 @@ from .errors import (
     EmptyWorldSpaceError,
     FrameMappingError,
     InconsistencySignal,
-    InfeasibleAugmentedError,
     InfeasibleError,
     InvalidBoundError,
     KbParseError,
@@ -46,7 +45,6 @@ from .sentences import (
     build_world_space,
     conjunction,
     disjunction,
-    evaluate,
     extension,
     extension_mask,
     parse_sentence,

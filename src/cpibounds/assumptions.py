@@ -23,7 +23,14 @@ Branch-and-bound then splits aggregate boxes at relaxation optima until
 either the outer bounds meet an exactly-feasible incumbent within the
 tolerance or the node cap is hit.  Every reported interval is an outer
 bound: it contains the true augmented-entailment interval at any stop
-point, and only tightens as boxes shrink.
+point, and only tightens as boxes shrink.  A conditional query first
+maximizes its antecedent's mass over the root relaxation, on the
+query's own program with every class as the antecedent; zero means
+the query is vacuous.
+
+Assumptions are further constraints on the one system of inequalities,
+so an inconsistency between them, or with the axioms, raises the same
+:class:`~cpibounds.errors.InfeasibleError` as inconsistent axioms.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleAugmentedError
+from .errors import InfeasibleError
 from .kb import (
     CondIndependence,
     KnowledgeBase,
@@ -106,21 +113,6 @@ def mccormick_envelopes(
     ]
 
 
-def envelope_range(cuts, u_value, v_value) -> ProbabilityInterval:
-    """The z interval the cuts admit at a fixed (u, v) point."""
-    lo = max(
-        c.u_coeff * u_value + c.v_coeff * v_value + c.constant
-        for c in cuts
-        if c.rel == ">="
-    )
-    hi = min(
-        c.u_coeff * u_value + c.v_coeff * v_value + c.constant
-        for c in cuts
-        if c.rel == "<="
-    )
-    return ProbabilityInterval(lo, hi)
-
-
 class _AugmentedProblem:
     """Static data for one augmented query; node LPs are built per box set.
 
@@ -173,7 +165,8 @@ class _AugmentedProblem:
             for k, ext in enumerate(agg_exts)
         ]
 
-    def node_rows(self, boxes):
+    def node_rows(self, boxes, antecedent):
+        """The node LP's rows, homogenized with ``antecedent``'s classes at mass 1."""
         rows = list(self.class_rows)
         for k, (tie, box) in enumerate(zip(self.ties, boxes)):
             rows.append(tie)
@@ -194,11 +187,11 @@ class _AugmentedProblem:
                 coeffs[self.t_col] = coeffs.get(self.t_col, ZERO) - cut.constant
                 rows.append((coeffs, cut.rel, ZERO))
         rows.extend(self.relation_rows)
-        return homogenized_rows(rows, self.t_col, self.given_ext)
+        return homogenized_rows(rows, self.t_col, antecedent)
 
     def solve_node(self, boxes, sense: str):
         objective = {i: ONE for i in self.obj_ext}
-        return solve_lp(self.ncols, self.node_rows(boxes), objective, sense)
+        return solve_lp(self.ncols, self.node_rows(boxes, self.given_ext), objective, sense)
 
     def point_of(self, lp):
         """Map an LP solution back to x-space aggregate and product values."""
@@ -320,7 +313,7 @@ def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
         outer = incumbent  # every region fathomed: the incumbent is exact
         converged = True
     else:
-        raise InfeasibleAugmentedError(
+        raise InfeasibleError(
             "assumptions are inconsistent with the axioms (all regions infeasible)"
         )
     return outer, converged, nodes, incumbent
@@ -360,16 +353,19 @@ def entail_augmented(
             sides, len(ws), extension_mask(sentence, ws), ws.full_mask
         )
         if lo_lp.status == "infeasible":
-            raise InfeasibleAugmentedError("axiom system alone is already infeasible")
+            raise InfeasibleError("axiom system alone is already infeasible")
         boxes.append(ProbabilityInterval(lo_lp.value, hi_lp.value))
     root_boxes = tuple(boxes)
 
     if given != TRUE:
-        # sound vacuity test: max antecedent mass over the relaxed system
-        vac_problem = _AugmentedProblem(sides, kb.assumptions, ws, given, TRUE)
-        lp = vac_problem.solve_node(root_boxes, "max")
+        # sound vacuity test: max antecedent mass over the relaxed system,
+        # on the query's own program with every class at mass 1 (so t = 1);
+        # its classes split the antecedent's finer, which keeps every pivot
+        rows = problem.node_rows(root_boxes, range(problem.t_col))
+        objective = {i: ONE for i in problem.given_ext}
+        lp = solve_lp(problem.ncols, rows, objective, "max")
         if lp.status == "infeasible":
-            raise InfeasibleAugmentedError(
+            raise InfeasibleError(
                 "assumptions are inconsistent with the axioms"
             )
         if lp.value == ZERO:
@@ -386,7 +382,7 @@ def entail_augmented(
             DETERMINED, ProbabilityInterval.vacuous(), False, False, "outer_bound", nodes
         )
     if lo > hi:
-        raise InfeasibleAugmentedError(
+        raise InfeasibleError(
             "directional bounds crossed: the augmented system has no solution"
         )
     return QueryResult(

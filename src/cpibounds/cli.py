@@ -38,7 +38,6 @@ from .dempster import (
 from .entailment import QueryResult, entail_conditional, feasible
 from .errors import (
     CpiboundsError,
-    InfeasibleAugmentedError,
     InfeasibleError,
     TotalConflictError,
 )
@@ -490,7 +489,7 @@ def main(argv=None) -> int:
         except _Inconsistent as exc:
             _print_diagnosis(exc, args.json, stats)
             return EXIT_INCONSISTENT
-        except (InfeasibleError, InfeasibleAugmentedError) as exc:
+        except InfeasibleError as exc:
             print(f"inconsistent: {exc}", file=sys.stderr)
             return EXIT_INCONSISTENT
         except TotalConflictError as exc:

@@ -324,9 +324,6 @@ def mass_functions_from_kb(kb: KnowledgeBase) -> dict[str, MassFunction]:
             raise FrameMappingError("mass sources require a frame declaration")
         return {}
     frame = Frame(kb.frame)
-    out = {}
-    for name, entries in kb.masses.items():
-        out[name] = MassFunction(
-            frame, {frame.mask_of(names): value for names, value in entries}
-        )
-    return out
+    return {
+        name: MassFunction.from_named(frame, entries) for name, entries in kb.masses.items()
+    }

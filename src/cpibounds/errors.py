@@ -46,15 +46,11 @@ class AtomCapError(CpiboundsError):
 
 
 class InfeasibleError(CpiboundsError):
-    """No probability distribution satisfies the axiom set."""
+    """No probability distribution satisfies the axioms and assumptions."""
 
 
 class NotInfeasibleError(CpiboundsError):
     """Inconsistency diagnosis was requested on a feasible system."""
-
-
-class InfeasibleAugmentedError(CpiboundsError):
-    """The axiom set together with the assumption set has no solution."""
 
 
 class TotalConflictError(CpiboundsError):

@@ -127,12 +127,6 @@ def _frechet_disjunction(table: BoundsTable, a: Sentence, b: Sentence) -> bool:
     return table.tighten(disj, candidate, "frechet_disjunction", (a, b, disj))
 
 
-def apply_rule_frechet(table: BoundsTable, a: Sentence, b: Sentence) -> bool:
-    """Tighten tracked a & b and a | b from the conjunct/disjunct intervals."""
-    changed = _frechet_conjunction(table, a, b)
-    return _frechet_disjunction(table, a, b) or changed
-
-
 def apply_rule_fuzzy(table: BoundsTable, a: Sentence, b: Sentence) -> bool:
     """The min/max point rule; requires point-valued inputs and is unsound."""
     ia, ib = table.interval(a), table.interval(b)

@@ -26,9 +26,9 @@ bit order.  Each atom's mask is built by pattern arithmetic over the
 conjunction of its masks, and every other sentence is evaluated with
 ``& | ^`` on masks, never world by world (Knuth, TAOCP 4A, 7.1.3, on
 truth tables as bit vectors).  :func:`extension` turns a mask into
-world indices; :func:`evaluate` still evaluates one world.  A world
-space stores only the mask of its kept assignments; ``ws.worlds`` makes
-the :class:`World` records from it on each access.
+world indices; the package evaluates no sentence in a single world.  A
+world space stores only the mask of its kept assignments; ``ws.worlds``
+makes the :class:`World` records from it on each access.
 Sentences are immutable and every operation is pure, but a world space
 memoizes masks in a mutable per-instance cache (``_ext_cache``), so a
 world space is not safe to share across threads without a lock.
@@ -313,33 +313,6 @@ class World:
 
     atoms: tuple[str, ...]
     values: tuple[bool, ...]
-
-    def value(self, name: str) -> bool:
-        try:
-            return self.values[self.atoms.index(name)]
-        except ValueError:
-            raise UnknownAtomError(f"atom {name!r} not in world") from None
-
-
-def evaluate(s: Sentence, w: World) -> bool:
-    """Classical truth-functional evaluation of ``s`` in world ``w``."""
-    if isinstance(s, TrueConst):
-        return True
-    if isinstance(s, FalseConst):
-        return False
-    if isinstance(s, Atom):
-        return w.value(s.name)
-    if isinstance(s, Not):
-        return not evaluate(s.child, w)
-    if isinstance(s, And):
-        return all(evaluate(c, w) for c in s.children)
-    if isinstance(s, Or):
-        return any(evaluate(c, w) for c in s.children)
-    if isinstance(s, Implies):
-        return (not evaluate(s.left, w)) or evaluate(s.right, w)
-    if isinstance(s, Iff):
-        return evaluate(s.left, w) == evaluate(s.right, w)
-    raise TypeError(f"not a sentence node: {s!r}")
 
 
 @dataclass(frozen=True)

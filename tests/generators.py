@@ -1,4 +1,4 @@
-"""Random instance generators shared across the test modules."""
+"""Random instance generators and reference semantics shared across the test modules."""
 
 from fractions import Fraction
 
@@ -6,17 +6,45 @@ from cpibounds import (
     And,
     Atom,
     CpiAxiom,
+    FalseConst,
+    Iff,
     Implies,
     KnowledgeBase,
     Not,
     Or,
     ProbabilityInterval,
     TRUE,
+    TrueConst,
     build_world_space,
     feasible,
 )
 
 ATOM_NAMES = ("A", "B", "C", "D")
+
+
+def evaluate(s, w) -> bool:
+    """Classical truth-functional evaluation of ``s`` in the world ``w``.
+
+    The per-world reference that the package's bitmask extensions are
+    checked against; ``w`` is a :class:`cpibounds.World`.
+    """
+    if isinstance(s, TrueConst):
+        return True
+    if isinstance(s, FalseConst):
+        return False
+    if isinstance(s, Atom):
+        return w.values[w.atoms.index(s.name)]
+    if isinstance(s, Not):
+        return not evaluate(s.child, w)
+    if isinstance(s, And):
+        return all(evaluate(c, w) for c in s.children)
+    if isinstance(s, Or):
+        return any(evaluate(c, w) for c in s.children)
+    if isinstance(s, Implies):
+        return (not evaluate(s.left, w)) or evaluate(s.right, w)
+    if isinstance(s, Iff):
+        return evaluate(s.left, w) == evaluate(s.right, w)
+    raise TypeError(f"not a sentence node: {s!r}")
 
 
 def random_sentence(rng, atoms, depth=2):

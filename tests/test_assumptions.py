@@ -9,7 +9,7 @@ import pytest
 from cpibounds import (
     Atom,
     CondIndependence,
-    InfeasibleAugmentedError,
+    InfeasibleError,
     NegativeCorrelation,
     PositiveCorrelation,
     ProbabilityInterval,
@@ -24,7 +24,6 @@ from cpibounds import assumptions
 from cpibounds.assumptions import (
     encode_assumption,
     entail_augmented,
-    envelope_range,
     mccormick_envelopes,
     simplest_between,
 )
@@ -35,6 +34,13 @@ from generators import one_class_per_world, random_feasible_kb, random_sentence
 F = Fraction
 A, B, G = Atom("A"), Atom("B"), Atom("G")
 WS2 = build_world_space(["A", "B"])
+
+
+def cut_range(cuts, u, v) -> ProbabilityInterval:
+    """The z interval the McCormick cuts admit at the point (u, v)."""
+    planes = {rel: [c.u_coeff * u + c.v_coeff * v + c.constant for c in cuts if c.rel == rel]
+              for rel in (">=", "<=")}
+    return ProbabilityInterval(max(planes[">="]), min(planes["<="]))
 
 
 class TestEncoding:
@@ -89,12 +95,12 @@ class TestMcCormick:
         v = ProbabilityInterval(F(1, 10), F(9, 10))
         cuts = mccormick_envelopes(u, v)
         for v_val in (F(1, 10), F(1, 3), F(9, 10)):
-            rng = envelope_range(cuts, F(1, 2), v_val)
+            rng = cut_range(cuts, F(1, 2), v_val)
             assert rng.lower == rng.upper == F(1, 2) * v_val
 
     def test_relaxation_gap_at_box_center(self):
         box = ProbabilityInterval(F(1, 5), F(4, 5))
-        rng = envelope_range(
+        rng = cut_range(
             mccormick_envelopes(box, box), F(1, 2), F(1, 2)
         )
         assert rng == ProbabilityInterval(F(4, 25), F(17, 50))
@@ -110,7 +116,7 @@ class TestMcCormick:
             for _ in range(5):
                 u = u_box.lower + (u_box.upper - u_box.lower) * F(rnd.randint(0, 8), 8)
                 v = v_box.lower + (v_box.upper - v_box.lower) * F(rnd.randint(0, 8), 8)
-                admitted = envelope_range(cuts, u, v)
+                admitted = cut_range(cuts, u, v)
                 assert admitted.contains(u * v)
 
 
@@ -155,7 +161,7 @@ class TestAugmentedEntailment:
         kb = parse_kb(
             "atom A B\nP(A) = 0.5\nP(B) = 0.4\nP(A & B) = 0.4\nassume indep(A, B)"
         )
-        with pytest.raises(InfeasibleAugmentedError):
+        with pytest.raises(InfeasibleError):
             entail_augmented(kb, WS2, Atom("A"))
 
     def test_branching_converges_on_irrational_optimum(self):
@@ -216,7 +222,7 @@ class TestAugmentedEntailment:
                 aug = entail_augmented(
                     grown, ws, target, tolerance=F(1, 10**6), node_cap=60
                 )
-            except InfeasibleAugmentedError:
+            except InfeasibleError:
                 continue
             assert plain.contains_interval(aug.interval)
             checked += 1
@@ -242,6 +248,20 @@ class TestAugmentedEntailment:
         kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
         res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
         assert res.interval == ProbabilityInterval.point(F(1, 2))
+
+    def test_vacuity_test_runs_on_the_query_program(self, monkeypatch):
+        built = []
+
+        class Counted(assumptions._AugmentedProblem):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(assumptions, "_AugmentedProblem", Counted)
+        kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
+        res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
+        assert res.interval == ProbabilityInterval.point(F(1, 2))
+        assert len(built) == 1
 
 
 def test_class_columns_match_per_world_columns(monkeypatch):
@@ -277,7 +297,7 @@ def test_class_columns_match_per_world_columns(monkeypatch):
                         answer = entail_augmented(
                             kb, ws, target, given, tolerance=F(1, 10**4), node_cap=6
                         )
-                    except InfeasibleAugmentedError as exc:
+                    except InfeasibleError as exc:
                         answer = str(exc)
             answers.append((answer, stats.pivots))
         assert answers[0] == answers[1]

@@ -26,8 +26,9 @@ from cpibounds.propagation import (
     UNSOUND,
     BoundsTable,
     RuleSet,
+    _frechet_conjunction,
+    _frechet_disjunction,
     apply_rule_conditional_chain,
-    apply_rule_frechet,
     apply_rule_fuzzy,
     apply_rule_negation,
     entailed_intervals,
@@ -91,7 +92,8 @@ class TestFrechetRule:
                 DISJ: None,
             }
         )
-        apply_rule_frechet(t, A, B)
+        _frechet_conjunction(t, A, B)
+        _frechet_disjunction(t, A, B)
         assert t.interval(CONJ) == ProbabilityInterval(F(0), F(3, 10))
         assert t.interval(DISJ) == ProbabilityInterval(F(1, 2), F(4, 5))
 
@@ -103,7 +105,7 @@ class TestFrechetRule:
                 CONJ: None,
             }
         )
-        apply_rule_frechet(t, A, B)
+        _frechet_conjunction(t, A, B)
         assert t.interval(CONJ) == ProbabilityInterval.point(F(2, 5))
 
     def test_additive_lower_side(self):
@@ -114,7 +116,7 @@ class TestFrechetRule:
                 CONJ: None,
             }
         )
-        apply_rule_frechet(t, A, B)
+        _frechet_conjunction(t, A, B)
         assert t.interval(CONJ) == ProbabilityInterval(F(2, 5), F(7, 10))
 
 
