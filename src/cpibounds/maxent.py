@@ -95,46 +95,35 @@ def _support(rows, n: int) -> list[int]:
 
 
 def _constraint_rows(rows, columns):
-    """Rows in <=0 form over the free columns, with exact-negation pairs
-    merged into equalities.  Returns (equalities, inequalities) as arrays."""
+    """Rows in <=0 form over the free columns, as (equalities, inequalities).
+
+    Each row still unpaired is merged with the first row that is its
+    exact negation into one equality; the other rows stay inequalities.
+    """
     col_of = {w: j for j, w in enumerate(columns)}
     vectors = []
     for coeffs, rel, _ in rows:
-        items = {}
-        for i, c in coeffs.items():
-            j = col_of.get(i)
-            if j is not None:
-                items[j] = -c if rel == ">=" else c
-        if items:
-            vectors.append(items)
-    eqs, ineqs = [], []
-    used = [False] * len(vectors)
-    keys = [tuple(sorted(v.items())) for v in vectors]
-    negated = {}
-    for idx, v in enumerate(vectors):
-        negated.setdefault(tuple(sorted((j, -c) for j, c in v.items())), idx)
-    for idx, v in enumerate(vectors):
-        if used[idx]:
-            continue
-        partner = negated.get(keys[idx])
-        if partner is not None and partner != idx and not used[partner]:
-            used[idx] = used[partner] = True
-            eqs.append(v)
-        else:
-            used[idx] = True
-            ineqs.append(v)
-
-    def dense(items):
-        vec = np.zeros(len(columns))
-        for j, c in items.items():
-            vec[j] = float(c)
-        return vec
-
-    eq = np.vstack([dense(v) for v in eqs]) if eqs else np.zeros((0, len(columns)))
-    ineq = (
-        np.vstack([dense(v) for v in ineqs]) if ineqs else np.zeros((0, len(columns)))
-    )
-    return eq, ineq
+        key = tuple(sorted(
+            (col_of[i], -c if rel == ">=" else c) for i, c in coeffs.items() if i in col_of
+        ))
+        if key:
+            vectors.append(key)
+    first_negation = {}
+    for idx, key in enumerate(vectors):
+        first_negation.setdefault(tuple((j, -c) for j, c in key), idx)
+    used, eqs, ineqs = set(), [], []
+    for idx, key in enumerate(vectors):
+        if idx not in used:
+            partner = first_negation.get(key, idx)
+            paired = partner != idx and partner not in used
+            used.update((idx, partner))
+            (eqs if paired else ineqs).append(key)
+    arrays = (np.zeros((len(eqs), len(columns))), np.zeros((len(ineqs), len(columns))))
+    for array, keys in zip(arrays, (eqs, ineqs)):
+        for r, key in enumerate(keys):
+            for j, c in key:
+                array[r, j] = float(c)
+    return arrays
 
 
 def _primal(scores: np.ndarray) -> np.ndarray:

@@ -211,3 +211,20 @@ class TestPrecisionReport:
         (entry,) = report.entries
         assert entry.maxent_value is None
         assert entry.classification == UNDETERMINED
+
+
+def test_constraint_rows_pair_each_row_with_its_first_negation():
+    # columns are class ids; a row whose only coefficient lies outside them drops
+    a_le_b = {0: F(1), 1: F(-1)}
+    rows = [
+        (a_le_b, "<=", 0),
+        (a_le_b, ">=", 0),  # the first negation of row 0: the two make one equality
+        (a_le_b, ">=", 0),  # its partner is taken, so it stays an inequality
+        ({3: F(1, 2), 2: F(5)}, "<=", 0),
+        ({2: F(1)}, ">=", 0),
+    ]
+    eq, ineq = maxent._constraint_rows(rows, [0, 1, 3])
+    assert eq.tolist() == [[1.0, -1.0, 0.0]]
+    assert ineq.tolist() == [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.5]]
+    empty_eq, empty_ineq = maxent._constraint_rows([], [0, 1])
+    assert empty_eq.shape == empty_ineq.shape == (0, 2)
