@@ -189,6 +189,8 @@ def cmd_entail(args, stats) -> int:
                 "lower_attained": result.lower_attained,
                 "upper_attained": result.upper_attained,
             }
+            if kb.assumptions:
+                extra.update(convergence=result.convergence, nodes=result.nodes)
             if e is not None:
                 extra.update(maxent=e.maxent_value, classification=e.classification)
             entries.append(

@@ -127,6 +127,28 @@ class TestEntail:
         assert F(query["lower"]["num"], query["lower"]["den"]) == F(1, 5)
         assert doc["stats"]["bb_nodes"] >= 1
 
+    @pytest.mark.parametrize("cap, convergence", [("3", "outer_bound"), ("500", "converged")])
+    def test_json_says_when_branch_and_bound_is_an_outer_bound(
+        self, capsys, kb_file, cap, convergence
+    ):
+        path = kb_file("atom A B\nP((A | B)) = 0.8\nassume indep(A, B)\nquery P(A & B)\n")
+        flags = ["--tolerance", "1/10000", "--node-cap", cap]
+        code, out, _ = run(capsys, "entail", path, "--json", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        (query,) = doc["queries"]
+        assert list(query)[-3:] == ["upper_attained", "convergence", "nodes"]
+        assert query["convergence"] == convergence
+        assert query["nodes"] == doc["stats"]["bb_nodes"] > 0
+        _, text, _ = run(capsys, "entail", path, *flags)
+        assert f"nodes={query['nodes']}" in text
+        assert ("outer-bound" in text) == (convergence == "outer_bound")
+
+    def test_json_lp_entries_carry_no_search_fields(self, capsys, kb_file):
+        _, out, _ = run(capsys, "entail", kb_file(BASIC), "--json")
+        (query,) = json.loads(out)["queries"]
+        assert "convergence" not in query and "nodes" not in query
+
     def test_maxent_column(self, capsys, kb_file):
         code, out, _ = run(capsys, "entail", kb_file(BASIC), "--maxent")
         assert code == 0

@@ -79,6 +79,15 @@ def test_conditional_query_runs_two_lps(lp_calls):
     assert len(lp_calls) == 2
 
 
+def test_vacuous_conditional_query_runs_two_lps(lp_calls):
+    kb = parse_kb(BASIC + "P(A & !B & C) = 0\n")
+    ws = build_world_space(kb.atoms)
+    result = entail_conditional(kb, ws, parse_sentence("B"), parse_sentence("A & !B & C"))
+    assert result.status == "vacuous_by_zero_antecedent"
+    # the min LP, then the feasibility LP; no max LP over the same empty rows
+    assert [lp.status for lp in lp_calls] == ["infeasible", "optimal"]
+
+
 def test_maxent_presolve_is_one_lp(lp_calls):
     kb = parse_kb(BASIC)
     solve_maxent(kb, build_world_space(kb.atoms))
