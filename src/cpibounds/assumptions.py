@@ -23,14 +23,10 @@ Branch-and-bound then splits aggregate boxes at relaxation optima until
 either the outer bounds meet an exactly-feasible incumbent within the
 tolerance or the node cap is hit.  Every reported interval is an outer
 bound: it contains the true augmented-entailment interval at any stop
-point, and only tightens as boxes shrink.  A conditional query first
-maximizes its antecedent's mass over the root relaxation, on the
-query's own program with every class as the antecedent; zero means
-the query is vacuous.
-
-Assumptions are further constraints on the one system of inequalities,
-so an inconsistency between them, or with the axioms, raises the same
-:class:`~cpibounds.errors.InfeasibleError` as inconsistent axioms.
+point, and only tightens as boxes shrink.  The vacuity test of a
+conditional query runs on the query's own program.  Assumptions that
+contradict each other or the axioms raise ``InfeasibleError``, as
+inconsistent axioms do: they are further rows of the same system.
 """
 
 from __future__ import annotations
@@ -358,16 +354,13 @@ def entail_augmented(
     root_boxes = tuple(boxes)
 
     if given != TRUE:
-        # sound vacuity test: max antecedent mass over the relaxed system,
-        # on the query's own program with every class at mass 1 (so t = 1);
-        # its classes split the antecedent's finer, which keeps every pivot
+        # sound vacuity test: max antecedent mass over the relaxed system on the
+        # query's classes (finer, same pivots), every class at mass 1 (t = 1)
         rows = problem.node_rows(root_boxes, range(problem.t_col))
         objective = {i: ONE for i in problem.given_ext}
         lp = solve_lp(problem.ncols, rows, objective, "max")
         if lp.status == "infeasible":
-            raise InfeasibleError(
-                "assumptions are inconsistent with the axioms"
-            )
+            raise InfeasibleError("assumptions are inconsistent with the axioms")
         if lp.value == ZERO:
             return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False)
 

@@ -148,10 +148,9 @@ def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult
     ``target`` and ``given`` are masks over the ``n`` worlds.  With
     ``target`` the worlds of target & given, these are the extremes of
     P(target | given); both LPs are infeasible exactly when no admissible
-    distribution gives the antecedent positive probability.  Phase 1
-    does not read the objective, so an infeasible min LP is returned for
-    both.  The LPs run over world classes, so ``x`` holds one weight per
-    class.
+    distribution gives the antecedent positive probability, so an
+    infeasible min LP is returned for both (phase 1 ignores the
+    objective).  The LPs run over world classes, one weight per class.
     """
     classes, rows, (target_ext, given_ext) = _class_program(sides, n, (target, given))
     k = len(classes)
