@@ -49,8 +49,8 @@ def calls():
             for index in range(gen.POOL):
                 inst = gen.instance(workload, seed, index)
                 argv = [KB_NAME if a == "{kb}" else a for a in inst.argv]
-                text = [a for a in argv if a != "--json"]
-                for args in (argv, text):
+                plain = [a for a in argv if a != "--json"]
+                for args in (argv, plain):
                     yield f"{workload}/{seed}/{index} {' '.join(args)}", inst.text, args
 
 
@@ -88,8 +88,9 @@ def diff(a_path: str, b_path: str, mask_pivots: bool) -> int:
         return {k: _PIVOTS.sub(r"\1N", v) if isinstance(v, str) else v
                 for k, v in entry.items()}
 
+    names = list(dict.fromkeys([*a, *b]))
     differ = 0
-    for name in dict.fromkeys([*a, *b]):
+    for name in names:
         left, right = seen(a.get(name)), seen(b.get(name))
         if left == right:
             continue
@@ -99,7 +100,7 @@ def diff(a_path: str, b_path: str, mask_pivots: bool) -> int:
         else:
             fields = [k for k in ("code", "stdout", "stderr") if left[k] != right[k]]
             print(f"{name}: {', '.join(fields)}")
-    print(f"{differ} of {len(dict.fromkeys([*a, *b]))} calls differ")
+    print(f"{differ} of {len(names)} calls differ")
     return 1 if differ else 0
 
 
