@@ -19,14 +19,16 @@ same homogenizing transform as plain conditional entailment (envelope
 constants are multiplied by the scale column, so the relaxation stays
 linear and exact).
 
-Branch-and-bound then splits aggregate boxes at relaxation optima until
+Branch-and-bound starts from each McCormick factor's range under the
+axioms alone and splits aggregate boxes at relaxation optima until
 either the outer bounds meet an exactly-feasible incumbent within the
 tolerance or the node cap is hit.  Every reported interval is an outer
 bound: it contains the true augmented-entailment interval at any stop
-point, and only tightens as boxes shrink.  The vacuity test of a
-conditional query runs on the query's own program.  Assumptions that
-contradict each other or the axioms raise ``InfeasibleError``, as
-inconsistent axioms do: they are further rows of the same system.
+point, and only tightens as boxes shrink.  The root-box LPs and the
+vacuity test of a conditional query run on the query's own program, so
+each query builds one.  Assumptions that contradict each other or the
+axioms raise ``InfeasibleError``, as inconsistent axioms do: they are
+further rows of the same system.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,9 +54,9 @@ from .entailment import (
     VACUOUS,
     QueryResult,
     _class_program,
+    _min_max,
     entail_conditional,
     homogenized_rows,
-    probability_bounds,
 )
 from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension_mask
 from .simplex import solve_lp
@@ -65,6 +68,7 @@ DEFAULT_TOLERANCE = Fraction(1, 10**6)
 DEFAULT_NODE_CAP = 10_000
 # split points are clamped this fraction of the box width away from its edges
 EDGE_CLAMP = Fraction(1, 100)
+_HOLDS = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def encode_assumption(assumption) -> tuple:
@@ -139,7 +143,7 @@ class _AugmentedProblem:
             extension_mask(given, ws),
             *(extension_mask(s, ws) for s in self.aggregates),
         ]
-        classes, self.class_rows, (self.obj_ext, self.given_ext, *agg_exts) = (
+        classes, self.class_rows, (self.obj_ext, self.given_ext, *self.agg_exts) = (
             _class_program(sides, len(ws), masks)
         )
         self.n_aggs = len(self.aggregates)
@@ -158,7 +162,7 @@ class _AugmentedProblem:
         # sum_{classes of S} y - a_S = 0, one per aggregate
         self.ties = [
             ({**dict.fromkeys(ext, ONE), self.agg_col + k: -ONE}, "=", ZERO)
-            for k, ext in enumerate(agg_exts)
+            for k, ext in enumerate(self.agg_exts)
         ]
 
     def node_rows(self, boxes, antecedent):
@@ -185,41 +189,12 @@ class _AugmentedProblem:
         rows.extend(self.relation_rows)
         return homogenized_rows(rows, self.t_col, antecedent)
 
-    def solve_node(self, boxes, sense: str):
-        objective = {i: ONE for i in self.obj_ext}
-        return solve_lp(self.ncols, self.node_rows(boxes, self.given_ext), objective, sense)
-
-    def point_of(self, lp):
-        """Map an LP solution back to x-space aggregate and product values."""
-        t = lp.x[self.t_col]
-        aggs = [lp.x[self.agg_col + k] / t for k in range(self.n_aggs)]
-        prods = [lp.x[self.prod_col + p] / t for p in range(len(self.products))]
-        return aggs, prods
-
     def exactly_feasible(self, aggs) -> bool:
         """Do the true bilinear relations hold at this aggregate valuation?"""
-
-        def value(side) -> Fraction:
-            return math.prod(aggs[k] for k in side)
-
-        for left, rel, right in self.relations:
-            left, right = value(left), value(right)
-            if rel == "=" and left != right:
-                return False
-            if rel == "<=" and left > right:
-                return False
-            if rel == ">=" and left < right:
-                return False
-        return True
-
-    def worst_violation(self, aggs, prods):
-        """(violation, product index) of the largest envelope gap."""
-        worst = (ZERO, 0)
-        for p, (u, v) in enumerate(self.products):
-            gap = abs(prods[p] - aggs[u] * aggs[v])
-            if gap > worst[0]:
-                worst = (gap, p)
-        return worst
+        return all(
+            _HOLDS[rel](math.prod(aggs[k] for k in left), math.prod(aggs[k] for k in right))
+            for left, rel, right in self.relations
+        )
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -255,64 +230,61 @@ def _split_box(box: ProbabilityInterval, at: Fraction):
 def _bb_run(problem: _AugmentedProblem, root_boxes, sense, tolerance, node_cap):
     """One directional search.
 
-    Returns (outer bound, converged, nodes, incumbent value or None); stops
-    once the incumbent is within the tolerance of the heap's best bound.
-    The outer bound is valid at any stop point: every region is either still
-    on the heap with a bound no better than it, was proven infeasible, or
-    cannot beat the incumbent.
+    Returns (outer bound, nodes, incumbent value or None); stops once the
+    incumbent is within the tolerance of the heap's best bound.  The outer
+    bound is valid at any stop point: every region is either still on the
+    heap with a bound no better than it, was proven infeasible, or cannot
+    beat the incumbent.
     """
     sign = 1 if sense == "min" else -1
 
     def score(v):
         return v * sign
 
+    objective = dict.fromkeys(problem.obj_ext, ONE)
     counter = itertools.count()
     # heap entries: (parent bound score, tiebreak, boxes); parent bound is a
     # valid outer bound for the node's whole region
     heap = [(Fraction(-(10**12)), next(counter), root_boxes)]
     incumbent: Fraction | None = None
     nodes = 0
-    node_cap = max(1, node_cap)
     while heap and nodes < node_cap:
         if incumbent is not None and score(incumbent) - heap[0][0] <= tolerance:
             break
         stored_score, _, boxes = heapq.heappop(heap)
         if incumbent is not None and stored_score >= score(incumbent):
             continue  # region cannot beat the incumbent
-        lp = problem.solve_node(boxes, sense)
+        rows = problem.node_rows(boxes, problem.given_ext)
+        lp = solve_lp(problem.ncols, rows, objective, sense)
         nodes += 1
         if lp.status == "infeasible":
             continue
         bound = lp.value
         if incumbent is not None and score(bound) >= score(incumbent):
             continue
-        aggs, prods = problem.point_of(lp)
+        # the relaxation optimum in x-space: aggregate values, then products
+        t = lp.x[problem.t_col]
+        point = [value / t for value in lp.x[problem.agg_col:]]
+        aggs, prods = point[:problem.n_aggs], point[problem.n_aggs:]
         if problem.exactly_feasible(aggs):
             incumbent = bound  # relaxation optimum attained by a real point
             continue
-        _, prod_idx = problem.worst_violation(aggs, prods)
-        u, v = problem.products[prod_idx]
+        # branch on the product with the widest envelope gap, the first on ties
+        gaps = [abs(z - aggs[u] * aggs[v]) for z, (u, v) in zip(prods, problem.products)]
+        u, v = problem.products[gaps.index(max(gaps))]
         pick = u if boxes[u].width >= boxes[v].width else v
         for child in _split_box(boxes[pick], aggs[pick]):
             new_boxes = list(boxes)
             new_boxes[pick] = child
             heapq.heappush(heap, (score(bound), next(counter), tuple(new_boxes)))
     if heap:
-        outer_score = min(entry[0] for entry in heap)
-        if incumbent is not None:
-            outer_score = min(outer_score, score(incumbent))
-        outer = outer_score * sign
-        converged = (
-            incumbent is not None and score(incumbent) - outer_score <= tolerance
-        )
-    elif incumbent is not None:
-        outer = incumbent  # every region fathomed: the incumbent is exact
-        converged = True
-    else:
+        outer_score = heap[0][0] if incumbent is None else min(heap[0][0], score(incumbent))
+        return outer_score * sign, nodes, incumbent
+    if incumbent is None:
         raise InfeasibleError(
             "assumptions are inconsistent with the axioms (all regions infeasible)"
         )
-    return outer, converged, nodes, incumbent
+    return incumbent, nodes, incumbent  # every region fathomed: the incumbent is exact
 
 
 def entail_augmented(
@@ -326,46 +298,45 @@ def entail_augmented(
     """Outer bounds on P(target | given) under axioms plus assumptions.
 
     The interval always contains the true augmented-entailment interval.
-    Convergence is reported when both directional searches closed their
-    incumbent gap within the tolerance.  With no assumptions this is
-    exactly plain conditional entailment.
+    Convergence is reported when both directional searches found an
+    incumbent within the tolerance of their outer bound.  With no
+    assumptions this is exactly plain conditional entailment.  Raises
+    ValueError when ``node_cap`` is below 1 or ``tolerance`` is negative.
     """
+    if node_cap < 1:
+        raise ValueError(f"node_cap must be at least 1, got {node_cap}")
+    tolerance = Fraction(tolerance)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if not kb.assumptions:
         return entail_conditional(kb, ws, target, given)
-    tolerance = Fraction(tolerance)
-    sides = kb_sides(kb, ws)
-    problem = _AugmentedProblem(sides, kb.assumptions, ws, target, given)
+    problem = _AugmentedProblem(kb_sides(kb, ws), kb.assumptions, ws, target, given)
 
-    # initial boxes: each McCormick factor's range under the axioms alone;
+    # initial boxes: each McCormick factor's range under the axioms alone, on
+    # the query's classes (finer, same pivots) with every class at mass 1;
     # any other aggregate keeps the unit box, which emits no row (its range
     # is already implied by the axiom rows of every node LP)
-    factors = {k for product in problem.products for k in product}
-    boxes = []
-    for k, sentence in enumerate(problem.aggregates):
-        if k not in factors:
-            boxes.append(ProbabilityInterval.vacuous())
-            continue
-        lo_lp, hi_lp = probability_bounds(
-            sides, len(ws), extension_mask(sentence, ws), ws.full_mask
-        )
+    axiom_rows = homogenized_rows(problem.class_rows, problem.t_col, range(problem.t_col))
+    boxes = [ProbabilityInterval.vacuous()] * problem.n_aggs
+    for k in sorted({k for product in problem.products for k in product}):
+        lo_lp, hi_lp = _min_max(problem.t_col + 1, axiom_rows, problem.agg_exts[k])
         if lo_lp.status == "infeasible":
             raise InfeasibleError("axiom system alone is already infeasible")
-        boxes.append(ProbabilityInterval(lo_lp.value, hi_lp.value))
+        boxes[k] = ProbabilityInterval(lo_lp.value, hi_lp.value)
     root_boxes = tuple(boxes)
 
     if given != TRUE:
         # sound vacuity test: max antecedent mass over the relaxed system on the
         # query's classes (finer, same pivots), every class at mass 1 (t = 1)
         rows = problem.node_rows(root_boxes, range(problem.t_col))
-        objective = {i: ONE for i in problem.given_ext}
-        lp = solve_lp(problem.ncols, rows, objective, "max")
+        lp = solve_lp(problem.ncols, rows, dict.fromkeys(problem.given_ext, ONE), "max")
         if lp.status == "infeasible":
             raise InfeasibleError("assumptions are inconsistent with the axioms")
         if lp.value == ZERO:
             return QueryResult(VACUOUS, ProbabilityInterval.vacuous(), False, False)
 
-    lo, lo_conv, lo_nodes, lo_inc = _bb_run(problem, root_boxes, "min", tolerance, node_cap)
-    hi, hi_conv, hi_nodes, hi_inc = _bb_run(problem, root_boxes, "max", tolerance, node_cap)
+    lo, lo_nodes, lo_inc = _bb_run(problem, root_boxes, "min", tolerance, node_cap)
+    hi, hi_nodes, hi_inc = _bb_run(problem, root_boxes, "max", tolerance, node_cap)
     nodes = lo_nodes + hi_nodes
     if given != TRUE and lo_inc is None and hi_inc is None:
         # no exactly-feasible point with positive antecedent mass was found,
@@ -378,11 +349,13 @@ def entail_augmented(
         raise InfeasibleError(
             "directional bounds crossed: the augmented system has no solution"
         )
+    converged = all(inc is not None and abs(inc - outer) <= tolerance
+                    for outer, inc in ((lo, lo_inc), (hi, hi_inc)))
     return QueryResult(
         DETERMINED,
         ProbabilityInterval(lo, hi),
         lower_attained=lo_inc is not None and lo_inc == lo,
         upper_attained=hi_inc is not None and hi_inc == hi,
-        convergence="converged" if lo_conv and hi_conv else "outer_bound",
+        convergence="converged" if converged else "outer_bound",
         nodes=nodes,
     )

@@ -39,11 +39,13 @@ the others have reduced cost zero.  Numbering the classes by their
 lowest world (the lowest set bit of the class mask) therefore gives the
 merged LP the same pivots as the per-world one, and the merge pass
 keeps the LP widths those classes give.  :func:`_class_program` is the
-one builder: the branch-and-bound node LPs (with each aggregate's mask
-as a further mask, see :mod:`cpibounds.assumptions`) and the
-maximum-entropy support LP run over the same classes.
-:func:`cpibounds.kb.kb_rows` is left as the per-world reference
-definition that the oracles check against.
+one builder.  A branch-and-bound query builds one program, with each
+aggregate's mask as a further mask (see :mod:`cpibounds.assumptions`),
+and runs its root boxes, vacuity test and node LPs on it; the
+maximum-entropy support LP runs over the same classes.  One helper,
+:func:`_min_max`, solves the min/max pairs of :func:`probability_bounds`
+and of the root boxes.  :func:`cpibounds.kb.kb_rows` is left as the
+per-world reference definition that the oracles check against.
 """
 
 from __future__ import annotations
@@ -148,18 +150,25 @@ def probability_bounds(sides, n: int, target, given) -> tuple[LpResult, LpResult
     ``target`` and ``given`` are masks over the ``n`` worlds.  With
     ``target`` the worlds of target & given, these are the extremes of
     P(target | given); both LPs are infeasible exactly when no admissible
-    distribution gives the antecedent positive probability, so an
-    infeasible min LP is returned for both (phase 1 ignores the
-    objective).  The LPs run over world classes, one weight per class.
+    distribution gives the antecedent positive probability.  The LPs run
+    over world classes, one weight per class.
     """
     classes, rows, (target_ext, given_ext) = _class_program(sides, n, (target, given))
     k = len(classes)
-    lp_rows = homogenized_rows(rows, k, given_ext)
-    objective = {i: ONE for i in target_ext}
-    low = solve_lp(k + 1, lp_rows, objective, "min")
+    return _min_max(k + 1, homogenized_rows(rows, k, given_ext), target_ext)
+
+
+def _min_max(ncols: int, rows, objective_ext) -> tuple[LpResult, LpResult]:
+    """Min, then max, of the sum of the ``objective_ext`` columns over ``rows``.
+
+    An infeasible min LP is returned for both: phase 1 ignores the
+    objective, so the max LP would be infeasible too.
+    """
+    objective = dict.fromkeys(objective_ext, ONE)
+    low = solve_lp(ncols, rows, objective, "min")
     if low.status == "infeasible":
         return low, low
-    return low, solve_lp(k + 1, lp_rows, objective, "max")
+    return low, solve_lp(ncols, rows, objective, "max")
 
 
 def _feasibility(sides, n: int) -> LpResult:

@@ -463,8 +463,10 @@ def _parse_mass_line(rest: str, line: int) -> tuple[str, list]:
         names = [n.strip() for n in subset_text[1:-1].split(",") if n.strip()]
         if not names:
             raise KbParseError(line, "the empty set cannot carry mass")
-        value = _parse_bound(value_text, line)
-        entries.append((frozenset(names), value))
+        subset, value = frozenset(names), _parse_bound(value_text, line)
+        if any(subset == named for named, _ in entries):
+            raise KbParseError(line, f"mass subset {subset_text} is named twice")
+        entries.append((subset, value))
     return source, entries
 
 

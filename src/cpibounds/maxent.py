@@ -154,12 +154,12 @@ def _newton_polish(eq, ineq, mu, nu, tol, act_eps):
     residual improves, so a wrong active-set guess is harmless.
     """
     x = _primal(-(eq.T @ mu + ineq.T @ nu))
-    in_vals = ineq @ x if len(ineq) else np.zeros(0)
+    in_vals = ineq @ x
     active = [
         j for j in range(len(ineq)) if nu[j] > 1e-12 or in_vals[j] > -act_eps
     ]
-    rows = np.vstack([eq, ineq[active]]) if len(eq) or active else None
-    if rows is None or not len(rows):
+    rows = np.vstack([eq, ineq[active]])
+    if not len(rows):
         return mu, nu
     theta = np.concatenate([mu, nu[active]])
     for _ in range(40):
@@ -220,8 +220,8 @@ def solve_maxent(
 
     def state(mu, nu):
         x = _primal(-(eq.T @ mu + ineq.T @ nu))
-        eq_vals = eq @ x if len(eq) else np.zeros(0)
-        in_vals = ineq @ x if len(ineq) else np.zeros(0)
+        eq_vals = eq @ x
+        in_vals = ineq @ x
         return x, eq_vals, in_vals, _residual(eq_vals, in_vals, nu)
 
     x, eq_vals, in_vals, residual = state(mu, nu)

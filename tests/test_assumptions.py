@@ -20,7 +20,7 @@ from cpibounds import (
     parse_kb,
     parse_sentence,
 )
-from cpibounds import assumptions
+from cpibounds import assumptions, entailment
 from cpibounds.assumptions import (
     encode_assumption,
     entail_augmented,
@@ -262,6 +262,26 @@ class TestAugmentedEntailment:
         res = entail_augmented(kb, WS2, Atom("A"), Atom("B"))
         assert res.interval == ProbabilityInterval.point(F(1, 2))
         assert len(built) == 1
+
+    def test_one_class_program_per_query(self, monkeypatch):
+        # the root boxes, the node LPs and the vacuity test share one program
+        original, built = entailment._class_program, []
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        for module in (entailment, assumptions):
+            monkeypatch.setattr(module, "_class_program", counted)
+        kb = parse_kb("atom A B\nP((A | B)) = 0.8\nP(A) <= 0.6\nassume indep(A, B)")
+        entail_augmented(kb, WS2, parse_sentence("A & B"), node_cap=20)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("setting", [{"node_cap": 0}, {"tolerance": F(-1, 10**6)}])
+    def test_invalid_search_setting_rejected(self, setting):
+        kb = parse_kb("atom A B\nP(A) = 0.5\nP(B) = 0.4\nassume indep(A, B)")
+        with pytest.raises(ValueError):
+            entail_augmented(kb, WS2, parse_sentence("A & B"), **setting)
 
 
 def test_class_columns_match_per_world_columns(monkeypatch):

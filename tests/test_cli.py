@@ -344,6 +344,12 @@ class TestDs:
             " at source 2 of 2\n"
         )
 
+    def test_repeated_mass_subset_is_usage_error(self, capsys, kb_file):
+        text = "frame a b\nmass s {a}: 0.5, {a}: 0.5\n"
+        code, out, err = run(capsys, "ds", "combine", kb_file(text))
+        assert code == 1 and out == ""
+        assert "line 2" in err and "named twice" in err
+
     def test_unknown_source(self, capsys, kb_file):
         code, _, err = run(capsys, "ds", "combine", kb_file(MASSES), "nope")
         assert code == 1

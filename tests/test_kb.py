@@ -156,6 +156,13 @@ class TestParseKb:
         with pytest.raises(KbParseError):
             parse_kb("frame a\nmass m1 {}: 1")
 
+    @pytest.mark.parametrize("entries", ["{a}: 0.5, {a}: 0.5", "{a, b}: 0.5, {b, a}: 0.5"])
+    def test_repeated_mass_subset_rejected(self, entries):
+        # subsets compare as sets, so a reordered one is the same subset
+        with pytest.raises(KbParseError) as info:
+            parse_kb(f"frame a b\nmass m1 {entries}")
+        assert info.value.line == 2 and "named twice" in str(info.value)
+
 
 class TestLinearize:
     ws = build_world_space(["A", "B"])

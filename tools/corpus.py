@@ -1,11 +1,11 @@
 """Transcripts of the benchmark corpus, and the calls on which two differ.
 
-    python tools/corpus.py dump OUT.json
+    python tools/corpus.py dump OUT.json [--src DIR]
     python tools/corpus.py diff A.json B.json [--mask-pivots]
 
 ``dump`` runs ``cpibounds.cli.main`` in process on every call of the
-corpus, against the package under this tree's ``src/``, and stores the
-exit code, stdout and stderr of each.  The corpus is instances 0-27 of
+corpus, against the package under ``--src`` (this tree's ``src/`` by
+default), and stores the exit code, stdout and stderr of each.  The corpus is instances 0-27 of
 seeds 1 and 2 of every workload in ``perfbench/gen.py``: each instance
 runs once with its benchmark arguments (``--json``) and once in text,
 336 calls in all.  The knowledge base is written as ``request.kb`` into
@@ -15,8 +15,10 @@ an empty working directory, so no output names a temporary path.
 are any.  ``--mask-pivots`` ignores the ``lp_pivots`` counts, for
 changes that alter the pivots an LP takes and nothing else.
 
-To compare against another commit, copy this file into a checkout of
-that commit, dump there and here, and diff the two files.
+To compare against another commit, check it out elsewhere (a clone or a
+``git worktree``), dump with ``--src`` set to its ``src/``, dump again
+without it, and diff the two files.  The corpus itself always comes from
+this tree's ``perfbench/gen.py``, so both dumps run the same calls.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from cpibounds.cli import main  # noqa: E402
 
 SEEDS = (1, 2)
 KB_NAME = "request.kb"
@@ -54,7 +55,7 @@ def calls():
                     yield f"{workload}/{seed}/{index} {' '.join(args)}", inst.text, args
 
 
-def transcript(argv) -> dict:
+def transcript(main, argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -64,7 +65,10 @@ def transcript(argv) -> dict:
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def dump(path: str) -> None:
+def dump(path: str, src: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from cpibounds.cli import main
+
     here = os.getcwd()
     entries = {}
     with tempfile.TemporaryDirectory() as directory:
@@ -72,7 +76,7 @@ def dump(path: str) -> None:
         try:
             for name, text, argv in calls():
                 Path(KB_NAME).write_text(text, encoding="utf-8")
-                entries[name] = transcript(argv)
+                entries[name] = transcript(main, argv)
         finally:
             os.chdir(here)
     Path(path).write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
@@ -109,13 +113,15 @@ def cli(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("dump", help="run the corpus and store its transcripts")
     p.add_argument("out")
+    p.add_argument("--src", default=str(ROOT / "src"),
+                   help="directory to import cpibounds from (default: this tree's src/)")
     p = sub.add_parser("diff", help="list the calls whose transcripts differ")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--mask-pivots", action="store_true", help="ignore lp_pivots counts")
     args = ap.parse_args(argv)
     if args.command == "dump":
-        dump(args.out)
+        dump(args.out, args.src)
         return 0
     return diff(args.a, args.b, args.mask_pivots)
 
