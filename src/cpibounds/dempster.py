@@ -17,6 +17,7 @@ express.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ class MassFunction:
                 continue
             if mask == 0:
                 raise ValueError("the empty set cannot carry mass")
-            focal[mask] = focal.get(mask, ZERO) + value
+            focal[mask] = value
             total += value
         if total != ONE:
             raise ValueError(f"masses sum to {total}, not 1")
@@ -103,10 +104,19 @@ class MassFunction:
 
     @classmethod
     def from_named(cls, frame: Frame, named) -> "MassFunction":
-        """Build from {iterable-of-names: mass} entries."""
-        return cls(
-            frame, {frame.mask_of(names): value for names, value in dict(named).items()}
-        )
+        """Build from ``(names, mass)`` pairs, or a ``{names: mass}`` mapping.
+
+        The names of a subset may come in any order; naming one subset
+        twice is an error.
+        """
+        masses = {}
+        for names, value in named.items() if isinstance(named, Mapping) else named:
+            mask = frame.mask_of(names)
+            if mask in masses:
+                subset = ", ".join(frame.names_of(mask))
+                raise ValueError(f"subset {{{subset}}} named twice")
+            masses[mask] = value
+        return cls(frame, masses)
 
     def mass(self, mask: int) -> Fraction:
         return self._focal.get(mask, ZERO)

@@ -6,9 +6,10 @@ Two oracles with complementary failure modes certify the LP path:
   over the worlds, keeps the points satisfying the axioms (and, within a
   slack, the bilinear assumptions), and reports the query range over the
   kept points.  Approximate but assumption-aware.
-* :func:`vertex_bounds` enumerates basic feasible solutions of the exact
-  constraint system by solving all square active-set subsystems with
-  rational Gaussian elimination.  Exact but linear-only.
+* :func:`vertex_bounds` enumerates the vertices of the exact constraint
+  system over the worlds alone (the LP's scale column is never tight),
+  walking the active sets depth first in rational echelon form and
+  skipping every superset of a dependent one.  Exact but linear-only.
 
 Neither touches the simplex code; the only shared layer is the axiom
 linearization, which defines the problem rather than solving it.
@@ -16,7 +17,7 @@ linearization, which defines the problem rather than solving it.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd
@@ -38,7 +39,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 MAX_GRID_POINTS = 20_000_000
-MAX_VERTEX_SUBSETS = 500_000
+# whether a row's value satisfies the row, by its relation to 0
+_HOLDS = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,6 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     out.setflags(write=False)
     _COMPOSITION_CACHE[(total, parts)] = out
     return out
-
-
-def _indicator(indices, n: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    for i in indices:
-        v[i] = 1
-    return v
 
 
 def grid_bounds(
@@ -124,61 +119,83 @@ def grid_bounds(
         else:
             keep &= np.abs(lhs) <= lim
 
+    def mass(s):
+        # each point's count on the worlds where s holds
+        return counts[:, sorted(extension(s, ws))].sum(axis=1)
+
     # bilinear assumptions, in squared-count units: p*q -> counts/scale^2
     slack_sq = floor(cfg.slack * scale * scale)
     for a in kb.assumptions:
         if isinstance(a, CondIndependence):
-            cdg = counts @ _indicator(
-                extension(conjunction(a.first, a.second, a.given), ws), n
-            )
-            g = counts @ _indicator(extension(a.given, ws), n)
-            cg = counts @ _indicator(extension(conjunction(a.first, a.given), ws), n)
-            dg = counts @ _indicator(extension(conjunction(a.second, a.given), ws), n)
-            keep &= np.abs(cdg * g - cg * dg) <= slack_sq
+            cdg = mass(conjunction(a.first, a.second, a.given))
+            cg = mass(conjunction(a.first, a.given))
+            dg = mass(conjunction(a.second, a.given))
+            keep &= np.abs(cdg * mass(a.given) - cg * dg) <= slack_sq
         else:
-            ab = counts @ _indicator(extension(conjunction(a.a, a.b), ws), n)
-            pa = counts @ _indicator(extension(a.a, ws), n)
-            pb = counts @ _indicator(extension(a.b, ws), n)
+            excess = mass(conjunction(a.a, a.b)) * scale - mass(a.a) * mass(a.b)
             if isinstance(a, NegativeCorrelation):
-                keep &= ab * scale <= pa * pb + slack_sq
+                keep &= excess <= slack_sq
             else:
-                keep &= ab * scale >= pa * pb - slack_sq
+                keep &= excess >= -slack_sq
 
-    kept = counts[keep]
-    if kept.shape[0] == 0:
-        return None
-    num = kept @ _indicator(extension(conjunction(target, given), ws), n)
-    den = kept @ _indicator(extension(given, ws), n)
+    num = mass(conjunction(target, given))[keep]
+    den = mass(given)[keep]
     positive = den > 0
     if not positive.any():
         return None
-    ratios = num[positive] / den[positive]
+    num, den = num[positive], den[positive]
+    ratios = num / den
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
-    nums = num[positive]
-    dens = den[positive]
     return ProbabilityInterval(
-        Fraction(int(nums[i_min]), int(dens[i_min])),
-        Fraction(int(nums[i_max]), int(dens[i_max])),
+        Fraction(int(num[i_min]), int(den[i_min])),
+        Fraction(int(num[i_max]), int(den[i_max])),
     )
 
 
-def _solve_square(matrix, rhs):
-    """Rational Gaussian elimination; returns None on a singular system."""
-    d = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != ZERO), None)
-        if pivot is None:
+def _minus(row, f, other):
+    """row - f * other, skipping the zeros of other."""
+    return [a - f * b if b else a for a, b in zip(row, other)]
+
+
+def _active_set_points(fixed, candidates, need):
+    """Each point that meets ``fixed`` and ``need`` of the ``candidates`` exactly.
+
+    Every row is ``[coefficients..., rhs]``.  The walk visits the
+    ``need``-subsets of ``candidates`` depth first, in lexicographic
+    order, keeping ``fixed`` and the chosen rows in reduced row echelon
+    form as ``(pivot column, row)`` pairs.  A candidate that reduces to
+    zero depends on the rows before it, so it is skipped together with
+    every subset that holds that prefix; each full-rank leaf yields its
+    unique solution.
+    """
+    n = len(fixed) - 1
+
+    def grow(echelon, row):
+        # echelon plus row, or None when row depends on it
+        for p, r in echelon:
+            if row[p]:
+                row = _minus(row, row[p], r)
+        col = next((j for j in range(n) if row[j]), None)
+        if col is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != ZERO:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(d)]
+        inv = ONE / row[col]
+        row = [a * inv if a else a for a in row]
+        reduced = [(p, _minus(r, r[col], row) if r[col] else r) for p, r in echelon]
+        return reduced + [(col, row)]
+
+    def walk(echelon, start, left):
+        if not left:  # full rank: one pivot in each column
+            yield [r[-1] for _, r in sorted(echelon)]
+            return
+        for i in range(start, len(candidates) - left + 1):
+            grown = grow(echelon, candidates[i])
+            if grown is not None:
+                yield from walk(grown, i + 1, left - 1)
+
+    first = grow([], fixed)
+    if first is not None:
+        yield from walk(first, 0, need)
 
 
 def vertex_bounds(
@@ -189,75 +206,37 @@ def vertex_bounds(
 ) -> ProbabilityInterval:
     """Exact query bounds by enumerating vertices of the constraint polytope.
 
-    Works on the same homogenized system the LP path uses for conditional
-    queries (columns y_0..y_{n-1} and the scale t); every bounded linear
-    objective over that pointed polyhedron attains its extrema at basic
-    feasible solutions, so enumerating them is exact.  Linear axioms only.
+    The LP path solves conditional queries over the homogenized system in
+    y_0..y_{n-1} and the scale t = sum y, with ``sum_{given} y = 1``.  As
+    t >= sum_{given} y = 1, its axis is never tight and its row only
+    defines it, so every vertex of that system is (y, sum y) for a vertex
+    y of {y >= 0, axiom rows, sum_{given} y = 1}, which this enumerates
+    (see :func:`_active_set_points`).  Every bounded linear objective
+    attains its extrema at such vertices, so the answer is exact.  Linear
+    axioms only.
     """
     if kb.assumptions:
         raise OracleSizeError("vertex enumeration handles linear axioms only")
     n = len(ws)
-    d = n + 1
     rows = kb_rows(kb, ws)
     if len(rows) + n > 20:
         raise OracleSizeError("instance too large for subset enumeration")
 
-    def dense(coeffs):
-        v = [ZERO] * d
-        for i, c in coeffs.items():
-            v[i] = c
-        return v
-
-    eq_rows = []
-    ant = [ZERO] * d
-    for i in extension(given, ws):
-        ant[i] = ONE
-    eq_rows.append((ant, ONE))
-    scale_row = [ONE] * n + [-ONE]
-    eq_rows.append((scale_row, ZERO))
-
-    candidates = [(dense(r.coeffs), ZERO) for r in rows]
-    for j in range(d):
-        axis = [ZERO] * d
-        axis[j] = ONE
-        candidates.append((axis, ZERO))
-
-    need = d - len(eq_rows)
-    if comb(len(candidates), need) > MAX_VERTEX_SUBSETS:
-        raise OracleSizeError("too many active-set subsets to enumerate")
-
-    objective = [ZERO] * d
-    for i in extension(conjunction(target, given), ws):
-        objective[i] = ONE
-
-    best_lo = None
-    best_hi = None
-    for chosen in itertools.combinations(range(len(candidates)), need):
-        matrix = [row for row, _ in eq_rows] + [candidates[c][0] for c in chosen]
-        rhs = [r for _, r in eq_rows] + [candidates[c][1] for c in chosen]
-        point = _solve_square(matrix, rhs)
-        if point is None:
-            continue
-        if any(v < ZERO for v in point):
-            continue
-        ok = True
-        for row, drow in zip(rows, candidates[: len(rows)]):
-            lhs = sum(c * v for c, v in zip(drow[0], point))
-            if row.rel == ">=" and lhs < ZERO:
-                ok = False
-            elif row.rel == "<=" and lhs > ZERO:
-                ok = False
-            elif row.rel == "=" and lhs != ZERO:
-                ok = False
-            if not ok:
-                break
-        if not ok:
-            continue
-        value = sum(c * v for c, v in zip(objective, point))
-        if best_lo is None or value < best_lo:
-            best_lo = value
-        if best_hi is None or value > best_hi:
-            best_hi = value
-    if best_lo is None:
+    # rows are [coefficients..., rhs]; a candidate is tight at 0
+    candidates = [[r.coeffs.get(j, ZERO) for j in range(n)] + [ZERO] for r in rows]
+    candidates += [[ONE if j == k else ZERO for j in range(n + 1)] for k in range(n)]
+    given_ext = extension(given, ws)
+    fixed = [ONE if j in given_ext else ZERO for j in range(n)] + [ONE]
+    objective = extension(conjunction(target, given), ws)
+    values = [
+        sum((point[i] for i in objective), ZERO)
+        for point in _active_set_points(fixed, candidates, n - 1)
+        if min(point) >= ZERO
+        and all(
+            _HOLDS[r.rel](sum(c * point[i] for i, c in r.coeffs.items()), ZERO)
+            for r in rows
+        )
+    ]
+    if not values:
         raise OracleSizeError("no feasible vertex found (infeasible or vacuous)")
-    return ProbabilityInterval(best_lo, best_hi)
+    return ProbabilityInterval(min(values), max(values))

@@ -108,6 +108,16 @@ def _run_simplex(tableau, basis) -> tuple[str, int]:
         pivots += 1
 
 
+def _optimize(tableau, basis, cost) -> tuple[str, int]:
+    """Price ``cost`` out against the basis, append it as the cost row and run."""
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb != ZERO:
+            cost = [cj - cb * ri if ri else cj for cj, ri in zip(cost, tableau[i])]
+    tableau.append(cost)
+    return _run_simplex(tableau, basis)
+
+
 def solve_lp(num_vars: int, rows, objective, sense: str = "min") -> LpResult:
     """Optimize ``objective . x`` subject to ``rows`` and x >= 0.
 
@@ -137,7 +147,6 @@ def _solve(num_vars: int, rows, objective, sense: str) -> LpResult:
             rel = _MIRROR[rel]
         canon.append((coeffs, rel, rhs))
 
-    m = len(canon)
     n_slack = sum(1 for _, rel, _ in canon if rel != "=")
     n_art = sum(1 for _, rel, _ in canon if rel != "<=")
     total = num_vars + n_slack + n_art
@@ -154,16 +163,11 @@ def _solve(num_vars: int, rows, objective, sense: str) -> LpResult:
                 raise ValueError(f"column {j} out of range")
             line[j] = Fraction(c)
         line[-1] = rhs
+        if rel != "=":
+            line[slack_at] = ONE if rel == "<=" else -ONE
+            slack_at += 1
         if rel == "<=":
-            line[slack_at] = ONE
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            line[slack_at] = -ONE
-            slack_at += 1
-            line[art_at] = ONE
-            basis.append(art_at)
-            art_at += 1
+            basis.append(slack_at - 1)
         else:
             line[art_at] = ONE
             basis.append(art_at)
@@ -172,53 +176,36 @@ def _solve(num_vars: int, rows, objective, sense: str) -> LpResult:
 
     pivots = 0
     if n_art:
-        # phase 1: minimize the artificial total, priced out of the cost row
-        cost = [ZERO] * (total + 1)
-        for j in range(art_start, total):
-            cost[j] = ONE
-        for i, b in enumerate(basis):
-            if b >= art_start:
-                cost = [cj - ri for cj, ri in zip(cost, tableau[i])]
-        tableau.append(cost)
-        status, p = _run_simplex(tableau, basis)
-        pivots += p
+        # phase 1: minimize the artificial total
+        cost = [ZERO] * art_start + [ONE] * n_art + [ZERO]
+        status, pivots = _optimize(tableau, basis, cost)
         assert status == "optimal"  # phase-1 objective is bounded below by 0
         if -tableau[-1][-1] > ZERO:
             return LpResult("infeasible", None, None, pivots)
         tableau.pop()
         # drive leftover artificials out of the (degenerate) basis
-        dead_rows = []
+        dead = set()
         for i, b in enumerate(basis):
             if b >= art_start:
-                col = next(
-                    (j for j in range(art_start) if tableau[i][j] != ZERO), None
-                )
+                col = next((j for j in range(art_start) if tableau[i][j] != ZERO), None)
                 if col is None:
-                    dead_rows.append(i)
+                    dead.add(i)
                 else:
                     _pivot(tableau, basis, i, col)
                     pivots += 1
-        if dead_rows:
-            dead = set(dead_rows)
-            tableau = [r for i, r in enumerate(tableau) if i not in dead]
-            basis = [b for i, b in enumerate(basis) if i not in dead]
-        tableau = [r[:art_start] + r[-1:] for r in tableau]
+        tableau = [
+            r[:art_start] + r[-1:] for i, r in enumerate(tableau) if i not in dead
+        ]
+        basis = [b for i, b in enumerate(basis) if i not in dead]
 
     # phase 2
     sign = ONE if sense == "min" else -ONE
-    width = art_start
-    cost = [ZERO] * (width + 1)
+    cost = [ZERO] * (art_start + 1)
     for j, c in objective.items():
         if not 0 <= j < num_vars:
             raise ValueError(f"objective column {j} out of range")
         cost[j] = sign * Fraction(c)
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb != ZERO:
-            row = tableau[i]
-            cost = [cj - cb * ri for cj, ri in zip(cost, row)]
-    tableau.append(cost)
-    status, p = _run_simplex(tableau, basis)
+    status, p = _optimize(tableau, basis, cost)
     pivots += p
     if status == "unbounded":
         return LpResult("unbounded", None, None, pivots)

@@ -78,6 +78,14 @@ class TestMassFunction:
         for mask in frame.subsets():
             assert bel.lower(mask) == bel.upper(mask)  # additive: bel == pl
 
+    def test_from_named_rejects_a_subset_named_twice(self):
+        # ("a", "b") and ("b", "a") spell one subset
+        for first, second in ((("a",), ("a",)), (("a", "b"), ("b", "a"))):
+            with pytest.raises(ValueError, match="named twice"):
+                MassFunction.from_named(ABC, [(first, F(1, 2)), (second, F(1, 2))])
+        m = MassFunction.from_named(ABC, [(("a", "b"), F(1, 2)), (("c",), F(1, 2))])
+        assert m.mass(ABC.mask_of(["b", "a"])) == F(1, 2)
+
     def test_partial_support_example(self):
         m = MassFunction.from_named(
             ABC, {("a", "b"): F(3, 5), ("a", "b", "c"): F(2, 5)}

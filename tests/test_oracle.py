@@ -24,6 +24,7 @@ from cpibounds import (
 from cpibounds import oracle
 from cpibounds.oracle import GridSearchConfig, grid_bounds, vertex_bounds
 from generators import random_feasible_kb, random_sentence
+from test_lp_counts import BASIC
 
 F = Fraction
 
@@ -93,6 +94,12 @@ class TestVertexBounds:
         with pytest.raises(OracleSizeError):
             vertex_bounds(kb, ws, Atom("A"))
 
+    def test_antecedent_pinned_to_zero_has_no_vertex(self):
+        kb = parse_kb("atom A B\nP(A) = 0")
+        ws = build_world_space(kb.atoms)
+        with pytest.raises(OracleSizeError, match="no feasible vertex found"):
+            vertex_bounds(kb, ws, Atom("B"), Atom("A"))
+
 
 class TestOracleAgreement:
     @pytest.mark.slow
@@ -114,6 +121,15 @@ class TestOracleAgreement:
             if lp.status != "determined":
                 continue
             assert vertex_bounds(kb, ws, target, given) == lp.interval
+
+    def test_vertex_equals_lp_on_three_atoms(self):
+        # 8 worlds, and a conditional query with a compound antecedent
+        kb = parse_kb(BASIC)
+        ws = build_world_space(kb.atoms)
+        assert len(kb.queries) == 3
+        for target, given in kb.queries:
+            lp = entail_conditional(kb, ws, target, given).interval
+            assert vertex_bounds(kb, ws, target, given) == lp
 
     def test_vertex_handles_equality_rows(self, monkeypatch):
         # linearize writes a point axiom as a >= and a <= row; here it is one
