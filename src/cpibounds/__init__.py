@@ -22,7 +22,6 @@ from .errors import (
     InvalidBoundError,
     KbParseError,
     NotInfeasibleError,
-    OracleSizeError,
     SentenceParseError,
     TotalConflictError,
     UnknownAtomError,

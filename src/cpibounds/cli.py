@@ -8,7 +8,6 @@ loads the knowledge base, builds its world space and checks feasibility:
 * ``propagate``   local interval propagation, optionally judged against LP
 * ``maxent``      maximum-entropy point values next to entailed intervals
 * ``ds``          Dempster-Shafer: combine / envelope / representable
-* ``oracle``      hidden: brute-force oracles for auditing
 
 Exit codes are a stable contract: 0 success, 1 usage or parse problems,
 2 inconsistent knowledge base, 3 total evidential conflict.  Exact
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .kb import KnowledgeBase, diagnose_inconsistency, p_term_text, parse_kb
 from .maxent import precision_report
-from .oracle import GridSearchConfig, grid_bounds, vertex_bounds
 from .propagation import (
     RuleSet,
     entailed_intervals,
@@ -371,21 +369,6 @@ def cmd_ds(args, stats) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args, stats) -> int:
-    kb, ws = _open(args, gate=False)  # the oracles never touch the simplex
-    for target, given in kb.queries:
-        if args.method == "vertex":
-            interval = vertex_bounds(kb, ws, target, given)
-        else:
-            interval = grid_bounds(
-                kb, ws, target, given,
-                cfg=GridSearchConfig(step=args.step),
-            )
-        rendered = "no feasible grid point" if interval is None else str(interval)
-        print(f"{p_term_text(target, given)}: {rendered}")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """Bad arguments exit EXIT_USAGE; argparse's 2 means an inconsistent KB here."""
 
@@ -470,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("sources", nargs="*", help="mass sources for combine")
     p.set_defaults(func=cmd_ds)
-
-    p = sub.add_parser("oracle")  # hidden from help on purpose: audit tool
-    common(p)
-    p.add_argument("--method", choices=["grid", "vertex"], default="vertex")
-    p.add_argument(
-        "--step", type=_at_least(Fraction, 0), default="1/200", help="grid resolution"
-    )
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

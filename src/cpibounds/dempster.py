@@ -74,29 +74,30 @@ class Frame:
 class MassFunction:
     """Nonnegative rational masses on frame subsets, summing to one.
 
-    Only focal elements (nonzero mass) are stored.  The empty set may
-    not carry mass.
+    ``masses`` is a ``{mask: mass}`` mapping or ``(mask, mass)`` pairs,
+    naming each subset once.  Only focal elements (nonzero mass) are
+    stored.  The empty set may not carry mass.
     """
 
     def __init__(self, frame: Frame, masses):
         self.frame = frame
-        focal: dict[int, Fraction] = {}
-        total = ZERO
-        for mask, value in dict(masses).items():
+        given: dict[int, Fraction] = {}
+        for mask, value in masses.items() if isinstance(masses, Mapping) else masses:
             value = Fraction(value)
             if not 0 <= mask <= frame.full_mask:
                 raise ValueError(f"subset mask {mask} out of range")
+            if mask in given:
+                subset = ", ".join(frame.names_of(mask))
+                raise ValueError(f"subset {{{subset}}} named twice")
             if value < ZERO:
                 raise ValueError(f"negative mass {value} on {frame.names_of(mask)}")
-            if value == ZERO:
-                continue
-            if mask == 0:
+            if value and mask == 0:
                 raise ValueError("the empty set cannot carry mass")
-            focal[mask] = value
-            total += value
+            given[mask] = value
+        total = sum(given.values(), ZERO)
         if total != ONE:
             raise ValueError(f"masses sum to {total}, not 1")
-        self._focal = focal
+        self._focal = {mask: value for mask, value in given.items() if value}
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -109,14 +110,8 @@ class MassFunction:
         The names of a subset may come in any order; naming one subset
         twice is an error.
         """
-        masses = {}
-        for names, value in named.items() if isinstance(named, Mapping) else named:
-            mask = frame.mask_of(names)
-            if mask in masses:
-                subset = ", ".join(frame.names_of(mask))
-                raise ValueError(f"subset {{{subset}}} named twice")
-            masses[mask] = value
-        return cls(frame, masses)
+        pairs = named.items() if isinstance(named, Mapping) else named
+        return cls(frame, [(frame.mask_of(names), value) for names, value in pairs])
 
     def mass(self, mask: int) -> Fraction:
         return self._focal.get(mask, ZERO)

@@ -45,7 +45,8 @@ and runs its root boxes, vacuity test and node LPs on it; the
 maximum-entropy support LP runs over the same classes.  One helper,
 :func:`_min_max`, solves the min/max pairs of :func:`probability_bounds`
 and of the root boxes.  :func:`cpibounds.kb.kb_rows` is left as the
-per-world reference definition that the oracles check against.
+per-world reference definition that the test suite's judge
+(``tests/judge.py``) checks against.
 """
 
 from __future__ import annotations

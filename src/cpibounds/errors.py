@@ -79,7 +79,3 @@ class InconsistencySignal(CpiboundsError):
 
 class CoverageMismatchError(CpiboundsError):
     """Soundness judging requires both tables to cover the same sentences."""
-
-
-class OracleSizeError(CpiboundsError):
-    """The brute-force oracle was asked for an instance beyond its size limits."""

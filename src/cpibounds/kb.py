@@ -215,9 +215,10 @@ class LinearConstraint(NamedTuple):
     """Homogeneous row over world-probability variables: coeffs . x  rel  rhs.
 
     Linearized axioms always have rhs 0.  This per-world form is the
-    reference definition of the problem, read by the oracles and the
-    tests; every LP the package solves builds its rows over world
-    classes from :class:`AxiomSide` instead.
+    reference definition of the problem, read by the test suite's judge
+    (``tests/judge.py``) and the benchmark's HiGHS check; every LP the
+    package solves builds its rows over world classes from
+    :class:`AxiomSide` instead.
     """
 
     coeffs: dict

@@ -1,4 +1,4 @@
-"""Brute-force verification oracles, independent of the simplex solver.
+"""Brute-force verification oracles, the test suite's judge of the LP path.
 
 Two oracles with complementary failure modes certify the LP path:
 
@@ -11,8 +11,10 @@ Two oracles with complementary failure modes certify the LP path:
   walking the active sets depth first in rational echelon form and
   skipping every superset of a dependent one.  Exact but linear-only.
 
-Neither touches the simplex code; the only shared layer is the axiom
-linearization, which defines the problem rather than solving it.
+They live with the tests, not in the package, and import from
+``cpibounds`` only the knowledge-base, sentence and error layers: the
+per-world axiom rows define the problem rather than solve it, and
+``test_one_builder.py`` checks that no solver module is imported here.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from math import comb, floor, gcd
 
 import numpy as np
 
-from .errors import OracleSizeError
-from .kb import (
+from cpibounds.errors import CpiboundsError
+from cpibounds.kb import (
     CondIndependence,
     KnowledgeBase,
     NegativeCorrelation,
@@ -33,7 +35,7 @@ from .kb import (
     ProbabilityInterval,
     kb_rows,
 )
-from .sentences import TRUE, Sentence, WorldSpace, conjunction, extension
+from cpibounds.sentences import TRUE, Sentence, WorldSpace, conjunction, extension
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,6 +43,10 @@ ONE = Fraction(1)
 MAX_GRID_POINTS = 20_000_000
 # whether a row's value satisfies the row, by its relation to 0
 _HOLDS = {">=": operator.ge, "<=": operator.le, "=": operator.eq}
+
+
+class OracleSizeError(CpiboundsError):
+    """The brute-force oracle was asked for an instance beyond its size limits."""
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from cpibounds.dempster import (
     mass_from_bel,
 )
 from cpibounds.maxent import PARTIAL, PINNED, precision_report
-from cpibounds.oracle import GridSearchConfig, grid_bounds, vertex_bounds
 from cpibounds.propagation import (
     SOUND_AND_COMPLETE,
     SOUND_INCOMPLETE,
@@ -55,6 +54,7 @@ from cpibounds.propagation import (
 )
 from cpibounds.simplex import solve_lp
 from generators import random_feasible_kb, random_sentence
+from judge import GridSearchConfig, grid_bounds, vertex_bounds
 
 F = Fraction
 

@@ -27,9 +27,9 @@ from cpibounds.assumptions import (
     mccormick_envelopes,
     simplest_between,
 )
-from cpibounds.oracle import GridSearchConfig, grid_bounds
 from cpibounds.simplex import counting
 from generators import one_class_per_world, random_feasible_kb, random_sentence
+from judge import GridSearchConfig, grid_bounds
 
 F = Fraction
 A, B, G = Atom("A"), Atom("B"), Atom("G")

@@ -1,13 +1,15 @@
 """CLI behavior: exit codes, output formats, JSON round-trips, determinism."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cpibounds import cli
-from cpibounds.cli import decimal_str, main
+from cpibounds.cli import build_parser, decimal_str, main
 
 F = Fraction
 
@@ -176,7 +178,6 @@ class TestEntail:
             ("entail", "--tolerance=1/0"),
             ("entail", "--tolerance=abc"),
             ("entail", "--tolerance=-1/10"),  # "=" keeps argparse from reading a flag
-            ("oracle", "--step=1/0"),
         ],
     )
     def test_bad_rational_flag_is_usage_error(self, capsys, kb_file, command, flag):
@@ -363,20 +364,16 @@ class TestDs:
         assert err.count("\n") == 1 and "'bogus', 'extra'" in err
 
 
-class TestOracleCommand:
-    def test_vertex_method(self, capsys, kb_file):
-        code, out, _ = run(
-            capsys, "oracle", kb_file(BASIC), "--method", "vertex"
-        )
-        assert code == 0
-        assert "P(B): [1/2, 4/5]" in out
-
-    def test_grid_method(self, capsys, kb_file):
-        code, out, _ = run(
-            capsys, "oracle", kb_file(BASIC), "--method", "grid", "--step", "1/50"
-        )
-        assert code == 0
-        assert "P(B): [1/2, 4/5]" in out
+def test_commands_are_the_documented_five():
+    # the usage line, the parser and README's command list name the same
+    # commands, so no subcommand is hidden from --help
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = sub.metavar.strip("{}").split(",")
+    assert listed == ["entail", "check", "propagate", "maxent", "ds"]
+    assert list(sub.choices) == listed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert re.findall(r"^cpibounds (\w+) ", readme, re.M) == listed
 
 
 def test_stdin_input(capsys, monkeypatch):

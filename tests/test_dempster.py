@@ -83,6 +83,10 @@ class TestMassFunction:
         for first, second in ((("a",), ("a",)), (("a", "b"), ("b", "a"))):
             with pytest.raises(ValueError, match="named twice"):
                 MassFunction.from_named(ABC, [(first, F(1, 2)), (second, F(1, 2))])
+            # the constructor checks its (mask, mass) pairs the same way
+            masks = ABC.mask_of(first), ABC.mask_of(second)
+            with pytest.raises(ValueError, match="named twice"):
+                MassFunction(ABC, [(mask, F(1, 2)) for mask in masks])
         m = MassFunction.from_named(ABC, [(("a", "b"), F(1, 2)), (("c",), F(1, 2))])
         assert m.mass(ABC.mask_of(["b", "a"])) == F(1, 2)
 

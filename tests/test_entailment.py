@@ -32,10 +32,10 @@ from cpibounds.entailment import (
 )
 from cpibounds.errors import EmptyWorldSpaceError
 from cpibounds.kb import kb_rows, kb_sides
-from cpibounds.oracle import vertex_bounds
 from cpibounds.sentences import conjunction, extension, extension_mask
 from cpibounds.simplex import solve_lp
 from generators import random_feasible_kb, random_kb, random_sentence
+from judge import vertex_bounds
 
 F = Fraction
 A, B = Atom("A"), Atom("B")

@@ -7,6 +7,8 @@ reports against the pivots those LPs ran.
 
 import json
 import sys
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,6 +26,7 @@ from cpibounds import (
 from cpibounds.cli import main
 from cpibounds.dempster import frame_mapping_from_kb
 from cpibounds.simplex import solve_lp
+from judge import GridSearchConfig, grid_bounds, vertex_bounds
 
 BASIC = """\
 atom A B C
@@ -153,12 +156,16 @@ def test_entail_maxent_solves_each_query_once(lp_calls, tmp_path, capsys):
     assert len(lp_calls) == 1 + 2 * queries + 1
 
 
-@pytest.mark.parametrize("method", ["vertex", "grid"])
-def test_oracle_solves_no_lp(lp_calls, tmp_path, capsys, method):
-    path = tmp_path / "small.kb"
-    path.write_text("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8\nquery P(B)\n")
-    assert main(["oracle", str(path), "--method", method, "--step", "1/10"]) == 0
-    assert "P(B): [1/2, 4/5]" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "oracle",
+    [vertex_bounds, partial(grid_bounds, cfg=GridSearchConfig(step=Fraction(1, 10)))],
+    ids=["vertex", "grid"],
+)
+def test_oracle_solves_no_lp(lp_calls, oracle):
+    kb = parse_kb("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8\nquery P(B)\n")
+    ws = build_world_space(kb.atoms)
+    ((target, given),) = kb.queries
+    assert str(oracle(kb, ws, target, given)) == "[1/2, 4/5]"
     assert lp_calls == []
 
 

@@ -11,7 +11,6 @@ from cpibounds import (
     CpiAxiom,
     KnowledgeBase,
     LinearConstraint,
-    OracleSizeError,
     ProbabilityInterval,
     build_world_space,
     conjunction,
@@ -21,9 +20,9 @@ from cpibounds import (
     parse_kb,
     parse_sentence,
 )
-from cpibounds import oracle
-from cpibounds.oracle import GridSearchConfig, grid_bounds, vertex_bounds
+import judge
 from generators import random_feasible_kb, random_sentence
+from judge import GridSearchConfig, OracleSizeError, grid_bounds, vertex_bounds
 from test_lp_counts import BASIC
 
 F = Fraction
@@ -144,7 +143,7 @@ class TestOracleAgreement:
                 rows.extend(own)
             return rows
 
-        monkeypatch.setattr(oracle, "kb_rows", rows_with_equalities)
+        monkeypatch.setattr(judge, "kb_rows", rows_with_equalities)
         rng = random.Random(109)
         atoms = ("A", "B", "C")
         ws = build_world_space(atoms)
@@ -166,7 +165,7 @@ class TestOracleAgreement:
                     CpiAxiom(consequent, antecedent, ProbabilityInterval.point(value))
                 )
             kb = KnowledgeBase(atoms=atoms, axioms=tuple(axioms))
-            assert any(r.rel == "=" for r in oracle.kb_rows(kb, ws))
+            assert any(r.rel == "=" for r in judge.kb_rows(kb, ws))
             target = random_sentence(rng, atoms)
             lp = entail_conditional(kb, ws, target).interval
             assert vertex_bounds(kb, ws, target) == lp
