@@ -376,6 +376,14 @@ def test_commands_are_the_documented_five():
     assert re.findall(r"^cpibounds (\w+) ", readme, re.M) == listed
 
 
+def test_oracle_is_not_a_command(capsys, kb_file):
+    # the brute-force oracles live with the tests, not behind the CLI
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", kb_file(BASIC), "--method", "vertex"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -100,6 +100,23 @@ class TestVertexBounds:
             vertex_bounds(kb, ws, Atom("B"), Atom("A"))
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        vertex_bounds,
+        lambda kb, ws, target: grid_bounds(
+            kb, ws, target, cfg=GridSearchConfig(step=F(1, 50))
+        ),
+    ],
+    ids=["vertex", "grid"],
+)
+def test_oracles_answer_modus_ponens(bounds):
+    # P(A) = 0.7 and P(A -> B) = 0.8 entail P(B) in [1/2, 4/5]
+    kb = parse_kb("atom A B\nP(A) = 0.7\nP(A -> B) = 0.8")
+    ws = build_world_space(kb.atoms)
+    assert bounds(kb, ws, Atom("B")) == ProbabilityInterval(F(1, 2), F(4, 5))
+
+
 class TestOracleAgreement:
     @pytest.mark.slow
     def test_vertex_equals_lp_exactly(self):
