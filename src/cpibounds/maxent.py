@@ -22,20 +22,24 @@ so they are detected exactly beforehand, by one LP over the homogeneous
 axiom cone, and eliminated.  That LP runs over the world classes of
 :mod:`cpibounds.entailment`: a class is in the support exactly when its
 worlds are.  The dual then keeps one column per support world.
+
+numpy is imported by the functions that use it, so only a solve loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entailment import VACUOUS, _class_program, entail_conditional
 from .errors import InfeasibleError
 from .kb import KnowledgeBase, ProbabilityInterval, kb_sides
 from .sentences import Sentence, WorldSpace, conjunction, extension, mask_indices
 from .simplex import solve_lp
+
+if TYPE_CHECKING:  # the annotations only
+    import numpy as np
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
@@ -100,6 +104,7 @@ def _constraint_rows(rows, columns):
     Each row still unpaired is merged with the first row that is its
     exact negation into one equality; the other rows stay inequalities.
     """
+    import numpy as np
     col_of = {w: j for j, w in enumerate(columns)}
     vectors = []
     for coeffs, rel, _ in rows:
@@ -127,17 +132,20 @@ def _constraint_rows(rows, columns):
 
 
 def _primal(scores: np.ndarray) -> np.ndarray:
+    import numpy as np
     shift = scores.max()
     w = np.exp(scores - shift)
     return w / w.sum()
 
 
 def _dual_value(scores: np.ndarray) -> float:
+    import numpy as np
     shift = scores.max()
     return float(shift + math.log(np.exp(scores - shift).sum()))
 
 
 def _residual(eq_vals, in_vals, nu) -> float:
+    import numpy as np
     parts = [0.0]
     if eq_vals.size:
         parts.append(float(np.abs(eq_vals).max()))
@@ -153,6 +161,7 @@ def _newton_polish(eq, ineq, mu, nu, tol, act_eps):
     Returns (mu, nu) candidates; the caller accepts them only if the true
     residual improves, so a wrong active-set guess is harmless.
     """
+    import numpy as np
     x = _primal(-(eq.T @ mu + ineq.T @ nu))
     in_vals = ineq @ x
     active = [
@@ -202,6 +211,7 @@ def solve_maxent(
     Raises InfeasibleError on an infeasible axiom set.  Non-convergence
     within the iteration cap is reported in the result, not raised.
     """
+    import numpy as np
     n = len(ws)
     classes, rows, _ = _class_program(kb_sides(kb, ws), n, ())
     free_classes = _support(rows, len(classes))
@@ -259,7 +269,8 @@ def solve_maxent(
     distribution = [0.0] * n
     for j, i in enumerate(free):
         distribution[i] = float(x[j])
-    entropy = float(-(x[x > 0] * np.log(x[x > 0])).sum())
+    # 0.0 - s, not -s: on a one-world support s is 0.0, and -s would print as -0.000000
+    entropy = 0.0 - float((x[x > 0] * np.log(x[x > 0])).sum())
     return MaxEntSolution(
         tuple(distribution), entropy, residual, iterations, residual < tol
     )

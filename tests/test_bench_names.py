@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import cpibounds
+from cpibounds import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +53,37 @@ def test_checks_reads_worlds_and_rows():
     rels = [row.rel for row in cpibounds.linearize(kb.axioms[0], ws)]
     assert rels == [">=", "<="]
     assert all(isinstance(row.coeffs, dict) for row in cpibounds.linearize(kb.axioms[0], ws))
+
+
+PLAIN = "atom A B\nP(A) = 0.5\nP(B) = 0.4\nquery P(A & B)\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, tapped",
+    [
+        (["maxent"], PLAIN, ["precision_report"]),
+        (["entail", "--maxent"], PLAIN, ["precision_report"]),
+        (["entail"], PLAIN + "assume indep(A, B)\n", ["entail_augmented"]),
+    ],
+    ids=["maxent", "entail-maxent", "entail-bb"],
+)
+def test_the_cli_calls_what_the_worker_taps(command, text, tapped, tmp_path, monkeypatch):
+    # worker.py rebinds these two names on ``cli`` to read the convergence
+    # flags; a call that bypassed them would leave a share sampled from nothing
+    calls = []
+
+    def recording(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("precision_report", "entail_augmented"):
+        monkeypatch.setattr(cli, name, recording(name))
+    kb = tmp_path / "tap.kb"
+    kb.write_text(text)
+    assert cli.main([command[0], str(kb), *command[1:]]) == 0
+    assert calls == tapped

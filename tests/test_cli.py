@@ -279,6 +279,13 @@ class TestMaxent:
         assert code == 0
         assert "maxent=0.65 [" in out
 
+    def test_one_world_entropy_has_no_sign(self, capsys, kb_file):
+        pinned = kb_file("atom A\nP(A) = 1\nquery P(A)\n")
+        code, out, _ = run(capsys, "maxent", pinned)
+        assert code == 0 and "entropy=0.000000 " in out
+        code, out, _ = run(capsys, "maxent", pinned, "--json")
+        assert code == 0 and '"entropy": 0.0,' in out
+
     def test_json_iterations_are_not_sweeps(self, capsys, kb_file):
         code, out, _ = run(capsys, "maxent", kb_file(BASIC), "--json")
         doc = json.loads(out)

@@ -43,6 +43,12 @@ class TestSolveMaxent:
         assert math.isclose(sol.entropy, math.log(4), rel_tol=1e-12)
         assert sol.converged
 
+    def test_one_world_support_has_positive_zero_entropy(self):
+        kb = parse_kb("atom A\nP(A) = 1\nquery P(A)")
+        sol = solve_maxent(kb, build_world_space(kb.atoms))
+        assert sol.distribution == (0.0, 1.0)
+        assert sol.entropy == 0.0 and math.copysign(1.0, sol.entropy) == 1.0
+
     def test_single_constraint_pins_two_worlds(self):
         kb = parse_kb("atom A\nP(A) = 0.3")
         ws = build_world_space(kb.atoms)
