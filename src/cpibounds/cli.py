@@ -168,16 +168,27 @@ def _maxent_text(e, places: int) -> str:
     return f"maxent={value} [{e.classification}]"
 
 
+def _solution_json(solution) -> dict:
+    """The maxent solve's top-level fields, which follow ``stats``."""
+    return {
+        "entropy": solution.entropy,
+        "kkt_residual": solution.kkt_residual,
+        "iterations": solution.iterations,
+        "converged": solution.converged,
+    }
+
+
 def cmd_entail(args, stats) -> int:
     kb, ws = _open(args)
     queries = list(kb.queries)
     solved = [_solve_query(kb, ws, t, g, args) for t, g in queries]
     method = "branch-and-bound" if kb.assumptions else "lp"
-    maxent = [None] * len(queries)
+    maxent, solution = [None] * len(queries), None
     if args.maxent and queries:
         # B&B intervals are not the axioms-only ones the report classifies
         results = None if kb.assumptions else solved
-        maxent = precision_report(kb, ws, results=results).entries
+        report = precision_report(kb, ws, results=results)
+        maxent, solution = report.entries, report.solution
 
     total_nodes = sum(result.nodes for result in solved)
     entries = []
@@ -207,7 +218,8 @@ def cmd_entail(args, stats) -> int:
         line = _interval_line(target, given, result.interval, args.places)
         print(line + "  " + " ".join(extras))
     if args.json:
-        _emit_document(entries, stats, nodes=total_nodes)
+        extra = {} if solution is None else _solution_json(solution)
+        _emit_document(entries, stats, nodes=total_nodes, **extra)
     else:
         print(f"stats: lp_pivots={stats.pivots} bb_nodes={total_nodes}")
     return EXIT_OK
@@ -286,13 +298,7 @@ def cmd_maxent(args, stats) -> int:
             )
             for e in report.entries
         ]
-        _emit_document(
-            entries, stats,
-            entropy=solution.entropy,
-            kkt_residual=solution.kkt_residual,
-            iterations=solution.iterations,
-            converged=solution.converged,
-        )
+        _emit_document(entries, stats, **_solution_json(solution))
         return EXIT_OK
     for e in report.entries:
         line = _interval_line(e.target, e.given, e.interval, args.places)

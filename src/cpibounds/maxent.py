@@ -9,13 +9,18 @@ Solver: every axiom row is a homogeneous inequality g . x <= 0 (point
 axioms contribute a matched pair, which is merged into one equality),
 so the Lagrangian dual of  max { -sum x ln x : Ex = 0, Gx <= 0,
 sum x = 1, x >= 0 }  is  min logsumexp(-E^T mu - G^T nu)  over free mu
-and nu >= 0, with the primal recovered as a softmax.  Projected
-gradient descent with Armijo backtracking drives the iteration (the
-projection, a clip of nu at zero, is exact), and a periodic active-set
-Newton polish supplies the last digits where nearly parallel rows make
-plain gradient steps crawl.  Iteration stops when the primal KKT
-residual (feasibility plus complementary slackness; stationarity and
-normalization are exact by construction) drops below the tolerance.
+and nu >= 0, with the primal recovered as a softmax.  One projected
+Newton loop (Bertsekas 1982) minimizes it.  Each iteration holds at 0
+every nu_j within eps of 0 that the gradient pushes below 0, and gives
+those a gradient step; it takes a Newton step in the other multipliers,
+on the dual Hessian shifted by the gradient's length (Li, Fukushima, Qi
+& Yamashita 2004), since rows that combine to a constant make that
+Hessian singular; it clips nu at 0; and it halves the step until the
+Armijo test on the dual value holds or, once the value moves only at
+rounding level, until the residual falls.  Iteration stops when the
+primal KKT residual (feasibility plus complementary slackness;
+stationarity and normalization are exact by construction) drops below
+the tolerance, or at the iteration cap, or when no step helps.
 
 Worlds forced to probability zero make the entropy gradient unbounded,
 so they are detected exactly beforehand, by one LP over the homogeneous
@@ -42,8 +47,7 @@ if TYPE_CHECKING:  # the annotations only
     import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
-_POLISH_EVERY = 200
+DEFAULT_MAX_ITER = 1_000
 
 PINNED = "pinned_by_k"
 PARTIAL = "partially_determined"
@@ -155,52 +159,6 @@ def _residual(eq_vals, in_vals, nu) -> float:
     return max(parts)
 
 
-def _newton_polish(eq, ineq, mu, nu, tol, act_eps):
-    """Solve the active-set KKT equalities by damped Newton on the dual.
-
-    Returns (mu, nu) candidates; the caller accepts them only if the true
-    residual improves, so a wrong active-set guess is harmless.
-    """
-    import numpy as np
-    x = _primal(-(eq.T @ mu + ineq.T @ nu))
-    in_vals = ineq @ x
-    active = [
-        j for j in range(len(ineq)) if nu[j] > 1e-12 or in_vals[j] > -act_eps
-    ]
-    rows = np.vstack([eq, ineq[active]])
-    if not len(rows):
-        return mu, nu
-    theta = np.concatenate([mu, nu[active]])
-    for _ in range(40):
-        x = _primal(-(rows.T @ theta))
-        g = rows @ x
-        norm = np.abs(g).max()
-        if norm < tol / 10:
-            break
-        rx = rows @ x
-        hess = (rows * x) @ rows.T - np.outer(rx, rx)
-        try:
-            delta = np.linalg.lstsq(hess, g, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        improved = False
-        for _ in range(25):
-            cand = theta + step * delta
-            g_cand = rows @ _primal(-(rows.T @ cand))
-            if np.abs(g_cand).max() < norm:
-                theta = cand
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    new_mu = theta[: len(eq)]
-    new_nu = np.zeros_like(nu)
-    new_nu[active] = np.maximum(theta[len(eq):], 0.0)
-    return new_mu, new_nu
-
-
 def solve_maxent(
     kb: KnowledgeBase,
     ws: WorldSpace,
@@ -220,51 +178,57 @@ def solve_maxent(
     class_of = {i: j for j, c in enumerate(free_classes) for i in mask_indices(classes[c])}
     free = sorted(class_of)
     take = [class_of[i] for i in free]
-    eq, ineq = (
-        np.ascontiguousarray(a[:, take]) for a in _constraint_rows(rows, free_classes)
-    )
-    mu = np.zeros(len(eq))
-    nu = np.zeros(len(ineq))
-    step = 1.0
+    eq, ineq = _constraint_rows(rows, free_classes)
+    a = np.ascontiguousarray(np.vstack([eq, ineq])[:, take])  # theta = (mu, nu)
+    m = len(eq)
+
+    def state(theta):
+        scores = -(a.T @ theta)
+        x = _primal(scores)
+        grad = -(a @ x)
+        return _dual_value(scores), x, grad, _residual(-grad[:m], -grad[m:], theta[m:])
+
+    theta = np.zeros(len(a))
+    value, x, grad, residual = state(theta)
     iterations = 0
-
-    def state(mu, nu):
-        x = _primal(-(eq.T @ mu + ineq.T @ nu))
-        eq_vals = eq @ x
-        in_vals = ineq @ x
-        return x, eq_vals, in_vals, _residual(eq_vals, in_vals, nu)
-
-    x, eq_vals, in_vals, residual = state(mu, nu)
     while residual >= tol and iterations < DEFAULT_MAX_ITER:
-        if iterations % _POLISH_EVERY == _POLISH_EVERY - 1:
-            act_eps = max(10 * tol, min(1e-5, residual))
-            cand_mu, cand_nu = _newton_polish(eq, ineq, mu, nu, tol, act_eps)
-            _, _, _, cand_res = state(cand_mu, cand_nu)
-            if cand_res < residual:
-                mu, nu = cand_mu, cand_nu
-                x, eq_vals, in_vals, residual = state(mu, nu)
-                iterations += 1
-                continue
-        # projected gradient step with Armijo backtracking on the dual
-        value = _dual_value(-(eq.T @ mu + ineq.T @ nu))
-        grad_mu, grad_nu = -eq_vals, -in_vals
-        while True:
-            cand_mu = mu - step * grad_mu
-            cand_nu = np.maximum(0.0, nu - step * grad_nu)
-            d_mu, d_nu = cand_mu - mu, cand_nu - nu
-            cand_value = _dual_value(-(eq.T @ cand_mu + ineq.T @ cand_nu))
-            decrease = (
-                grad_mu @ d_mu
-                + grad_nu @ d_nu
-                + (d_mu @ d_mu + d_nu @ d_nu) / (2 * step)
-            )
-            if cand_value <= value + decrease or step < 1e-18:
+        # Bertsekas' epsilon-active set: a nu_j within eps of 0 that the
+        # gradient pushes below 0 is held and takes a gradient step, with
+        # eps the length of theta - P(theta - grad)
+        nu, grad_nu = theta[m:], grad[m:]
+        moved = np.concatenate([grad[:m], np.minimum(nu, grad_nu)])
+        eps = min(1e-3, float(np.linalg.norm(moved)))
+        held = np.concatenate([np.zeros(m, bool), (nu <= eps) & (grad_nu > 0)])
+        newton = ~held
+        # the rest take a Newton step on the Hessian A diag(x) A^T - g g^T,
+        # shifted by |g| (Li, Fukushima, Qi & Yamashita) past flat directions
+        g = grad[newton]
+        direction = grad.copy()
+        shift = float(np.linalg.norm(g))
+        if shift > 0:
+            sub = a[newton]
+            hess = (sub * x) @ sub.T - np.outer(g, g) + shift * np.eye(len(g))
+            direction[newton] = np.linalg.solve(hess, g)
+        step = 1.0
+        for _ in range(60):
+            cand = theta - step * direction
+            cand[m:] = np.maximum(cand[m:], 0.0)
+            found = state(cand)
+            cand_value, cand_residual = found[0], found[3]
+            decrease = step * (g @ direction[newton])
+            decrease += grad[held] @ (theta[held] - cand[held])
+            if cand_value <= value - 1e-4 * decrease:
+                break
+            # at rounding level the value cannot rank steps; the residual can
+            flat = abs(cand_value - value) <= 1e-14 * max(1.0, abs(value))
+            if flat and cand_residual < residual:
                 break
             step *= 0.5
-        mu, nu = cand_mu, cand_nu
-        step = min(step * 1.5, 1e12)
+        else:
+            break  # no step helps: stop unconverged
+        theta = cand
+        value, x, grad, residual = found
         iterations += 1
-        x, eq_vals, in_vals, residual = state(mu, nu)
 
     distribution = [0.0] * n
     for j, i in enumerate(free):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpibounds import cli
+from cpibounds import build_world_space, cli, maxent
 from cpibounds.cli import build_parser, decimal_str, main
 
 F = Fraction
@@ -156,6 +156,17 @@ class TestEntail:
         assert code == 0
         assert "maxent=0.65" in out and "partially_determined" in out
 
+    def test_maxent_json_reports_the_solve(self, capsys, kb_file):
+        code, out, _ = run(capsys, "entail", kb_file(BASIC), "--json", "--maxent")
+        doc = json.loads(out)
+        assert code == 0
+        assert list(doc)[-5:] == ["stats", "entropy", "kkt_residual", "iterations", "converged"]
+        assert doc["converged"] is True and doc["kkt_residual"] < 1e-8
+        assert doc["iterations"] >= 1
+        # no solve, no solve fields
+        _, out, _ = run(capsys, "entail", kb_file(BASIC), "--json")
+        assert list(json.loads(out))[-1] == "stats"
+
     @pytest.mark.parametrize("flags", [["--bogus"], ["--jobs", "4"]])
     def test_bad_flag_is_usage_error(self, capsys, kb_file, flags):
         with pytest.raises(SystemExit) as exc:
@@ -285,6 +296,20 @@ class TestMaxent:
         assert code == 0 and "entropy=0.000000 " in out
         code, out, _ = run(capsys, "maxent", pinned, "--json")
         assert code == 0 and '"entropy": 0.0,' in out
+
+    def test_unconverged_solve_is_reported_not_raised(self, capsys, kb_file, monkeypatch):
+        path = kb_file(BASIC)
+        kb = cli.load_kb(path)
+        ws = build_world_space(kb.atoms)
+        assert maxent.solve_maxent(kb, ws).iterations > 1
+        monkeypatch.setattr(maxent, "DEFAULT_MAX_ITER", 1)
+        solution = maxent.solve_maxent(kb, ws)
+        assert not solution.converged and solution.iterations == 1
+        code, out, _ = run(capsys, "maxent", path)
+        assert code == 0 and "iterations=1 converged=False" in out
+        code, out, _ = run(capsys, "entail", path, "--json", "--maxent")
+        doc = json.loads(out)
+        assert code == 0 and doc["converged"] is False and doc["iterations"] == 1
 
     def test_json_iterations_are_not_sweeps(self, capsys, kb_file):
         code, out, _ = run(capsys, "maxent", kb_file(BASIC), "--json")

@@ -65,6 +65,24 @@ class TestSolveMaxent:
         assert abs(x[2] - 0.15) < 1e-8 and abs(x[3] - 0.15) < 1e-8
         assert abs(x[0] - 0.35) < 1e-8 and abs(x[1] - 0.35) < 1e-8
 
+    def test_slack_row_on_a_flat_dual_direction(self):
+        # the two rows sum to a constant, which the softmax ignores, so the dual
+        # Hessian is singular along mu = nu, and nu of the slack row belongs at 0
+        kb = parse_kb("atom A B\nP(A) = 29/48\nP(!A) <= 2/5")
+        sol = solve_maxent(kb, WS2, tol=1e-12)
+        assert sol.converged and sol.iterations <= 20
+        for value, expected in zip(sol.distribution, (19 / 96, 19 / 96, 29 / 96, 29 / 96)):
+            assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_random_kbs_converge(self, tol):
+        rng = random.Random(97)
+        for _ in range(60):
+            kb, ws = random_feasible_kb(rng, max_atoms=4, max_axioms=8)
+            sol = solve_maxent(kb, ws, tol=tol)
+            assert sol.converged, kb
+            assert sol.iterations <= 50, kb
+
     def test_infeasible_raises(self):
         kb = parse_kb("atom A\n0.6 <= P(A)\nP(A) <= 0.4")
         with pytest.raises(InfeasibleError):
